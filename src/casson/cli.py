@@ -28,7 +28,7 @@ from .diagram import (DiagramError, GaussDiagram, from_braid_word,
 from .invariants import arf, check_bound, crossing_bound, v2_gauss, v2_sym
 from .moves import MoveEngine, random_braid_word, random_realizable
 from .plane import GenericityError, PolyKnot, project, v2_morse, v2_morse_closed
-from .skein import v2_skein
+from .skein import NotDescendingRealizable, v2_skein
 from .tangle import (TangleError, TangleWord, gauss_of_tangle, parse_tangle,
                      v2_natangle, v2_natangle_closed)
 
@@ -92,10 +92,10 @@ def _build_input(kind: str, payload: str) -> tuple[GaussDiagram, object]:
                     text = fh.read()
             word = parse_tangle(text)
             return gauss_of_tangle(word), word
-    except (DiagramError, TangleError, ValueError) as exc:
-        raise CliError(f"cannot parse {kind} input: {exc}", EXIT_PARSE)
     except GenericityError as exc:
         raise CliError(f"input fails genericity: {exc}", EXIT_VALIDATION)
+    except (DiagramError, TangleError, ValueError) as exc:
+        raise CliError(f"cannot parse {kind} input: {exc}", EXIT_PARSE)
     raise CliError(f"unknown input kind {kind!r}", EXIT_PARSE)
 
 
@@ -123,6 +123,9 @@ def _run_method(method: str, diagram: GaussDiagram, source) -> dict:
             return {"value": v2_natangle_closed(source)}
     except GenericityError as exc:
         raise CliError(f"genericity failure in {method}: {exc}", EXIT_VALIDATION)
+    except NotDescendingRealizable as exc:
+        raise CliError(f"input is not a realizable diagram ({method}): {exc}",
+                       EXIT_VALIDATION)
     raise CliError(f"unknown method {method!r}", EXIT_PARSE)
 
 

@@ -7,8 +7,11 @@ diagram additionally fixes a marked point on the circle; "long" diagrams put
 that point at infinity.
 
 Endpoint positions are exact rationals in (0, 1), measured from the base
-point along the orientation.  Nothing downstream consumes the actual values,
-only their cyclic order.
+point along the orientation, so that moves can insert chords between
+existing endpoints.  Nothing downstream consumes the actual values, only
+their order: the invariant kernels read `GaussDiagram.index_view`, which
+numbers the 2n endpoints 0..2n-1 from the base point and is computed once
+per diagram.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal
+from functools import cached_property
+from typing import Iterable, Literal, NamedTuple
 
 __all__ = [
     "Chord",
     "GaussDiagram",
     "DiagramError",
+    "EndpointIndex",
     "parse_gauss_code",
     "parse_pd_code",
     "from_braid_word",
@@ -56,10 +61,24 @@ class Chord:
         return Chord(self.id, self.head, self.tail, -self.sign)
 
 
+class EndpointIndex(NamedTuple):
+    """Integer view of a diagram: endpoints numbered 0..2n-1 from the base point.
+
+    ``tail[i]``, ``head[i]`` and ``sign[i]`` describe ``chords[i]`` of the
+    diagram; ``at[p]`` is the index of the chord with an endpoint at p.
+    """
+
+    tail: tuple[int, ...]
+    head: tuple[int, ...]
+    sign: tuple[int, ...]
+    at: tuple[int, ...]
+
+
 class GaussDiagram:
     """Based Gauss diagram: signed directed chords on an oriented circle.
 
-    Immutable after construction; all operations return new diagrams.
+    Immutable after construction; all operations return new diagrams, so
+    derived data such as `index_view` is computed once and cached.
     """
 
     def __init__(self, chords: Iterable[Chord], shape: Literal["closed", "long"] = "closed",
@@ -95,6 +114,19 @@ class GaussDiagram:
             out.append((c.head, c, "H"))
         out.sort(key=lambda e: e[0])
         return out
+
+    @cached_property
+    def index_view(self) -> EndpointIndex:
+        """Tail, head and sign of every chord on integer endpoint indices."""
+        index = {c.id: i for i, c in enumerate(self.chords)}
+        tail, head = [0] * self.n, [0] * self.n
+        at = []
+        for p, (_, c, kind) in enumerate(self.endpoints()):
+            i = index[c.id]
+            (tail if kind == "T" else head)[i] = p
+            at.append(i)
+        return EndpointIndex(tuple(tail), tuple(head),
+                             tuple(c.sign for c in self.chords), tuple(at))
 
     def interlocked(self, a: Chord, b: Chord) -> bool:
         """True when the endpoints of a and b alternate around the circle."""
@@ -140,11 +172,6 @@ class GaussDiagram:
             toks.append(f"{letter}{relabel[c.id]}{s}")
         return "".join(toks)
 
-    def relabeled(self, mapping: dict[int, int]) -> "GaussDiagram":
-        return GaussDiagram(
-            [Chord(mapping[c.id], c.tail, c.head, c.sign) for c in self.chords],
-            shape=self.shape, provenance=self.provenance)
-
     def mirror(self) -> "GaussDiagram":
         """Diagram of the mirror knot: every chord reversed, signs negated."""
         return GaussDiagram([c.reversed() for c in self.chords], shape=self.shape,
@@ -158,10 +185,6 @@ class GaussDiagram:
         return GaussDiagram.from_endpoint_order(
             order, {c.id: c.sign for c in self.chords}, shape=self.shape,
             provenance=self.provenance)
-
-    def same_diagram(self, other: "GaussDiagram") -> bool:
-        """Equality of cyclic-order data up to relabeling (base points aligned)."""
-        return self.serialize() == other.serialize()
 
     def __repr__(self):
         return f"GaussDiagram({self.serialize()!r}, shape={self.shape!r})"

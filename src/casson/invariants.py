@@ -48,12 +48,6 @@ def check_bound(diagram: GaussDiagram) -> tuple[int, int, bool]:
     return v2, bound, abs(v2) <= bound
 
 
-def even_n_advisory_bound(n: int) -> int:
-    """Strengthened bound for even n (advisory only, not a theorem)."""
-    b = crossing_bound(n)
-    return b - 1 if n % 2 == 0 and b > 0 else b
-
-
 def report(diagram: GaussDiagram, method: str = "gauss") -> InvariantReport:
     from .skein import v2_skein
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import GaussDiagram
-from .pairing import XUP, XFWD, XBWD, X_ALL, PatternCombination, bracket
+from .pairing import XUP, XFB, XFWD, XBWD, X_ALL, PatternCombination, bracket
 
 __all__ = [
     "GenericityError",
@@ -40,7 +40,6 @@ __all__ = [
     "convex_circle_curve",
 ]
 
-XFB = PatternCombination(((1, XFWD), (1, XBWD)))
 _X2ALL = PatternCombination(((2, XUP), (2, XFWD), (2, XBWD)))
 
 

@@ -8,7 +8,9 @@ represents the unknot, so the accumulated total is v2.
 
 The linking number of a smoothing is computed two ways: by the closed-form
 chord count and by explicitly two-coloring the smoothed components.  The two
-counts are asserted equal; a mismatch means the input was not realizable.
+counts must agree, or `NotDescendingRealizable` is raised: a mismatch means
+the input was not realizable.  Both are O(n) scans of the state kept on
+endpoint indices, so the descent is O(n^2) for n chords.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import Chord, GaussDiagram
+from .diagram import GaussDiagram
 
 __all__ = ["FlipTrace", "descend", "lk_smoothed", "lk_smoothed_two_color", "v2_skein"]
 
 
 class NotDescendingRealizable(ValueError):
-    """The two lk counts disagreed: the diagram state is not realizable."""
+    """The descent's checks failed: the two lk counts disagreed (the diagram
+    state is not realizable) or the final diagram is not descending."""
 
 
 @dataclass(frozen=True)
@@ -42,20 +45,41 @@ class FlipTrace:
         }
 
 
+def _lk_count(tail, head, sign, c: int) -> int:
+    """Closed-form lk of the smoothing at chord index c, on endpoint indices:
+    sum of signs of chords interlocked with c whose head lies after c's tail."""
+    lo, hi = min(tail[c], head[c]), max(tail[c], head[c])
+    tc = tail[c]
+    total = 0
+    for t, h, s in zip(tail, head, sign):
+        if (lo < t < hi) != (lo < h < hi) and h > tc:
+            total += s
+    return total
+
+
+def _two_color_crossings(tail, head, sign, c: int) -> int:
+    """Signed count of crossings between the two components of the
+    smoothing at chord index c; lk is half of it."""
+    lo, hi = min(tail[c], head[c]), max(tail[c], head[c])
+    total = 0
+    for t, h, s in zip(tail, head, sign):
+        if (lo < t < hi) != (lo < h < hi):
+            total += s
+    return total
+
+
+def _chord_index(diagram: GaussDiagram, chord_id: int) -> int:
+    return diagram.chords.index(diagram.chord(chord_id))
+
+
 def lk_smoothed(diagram: GaussDiagram, chord_id: int) -> int:
     """Closed-form lk of the smoothing at a chord.
 
     Sum of signs of chords interlocked with it whose head lies on the arc
     from its tail forward to the base point.
     """
-    c = diagram.chord(chord_id)
-    total = 0
-    for other in diagram.chords:
-        if other.id == chord_id or not diagram.interlocked(c, other):
-            continue
-        if other.head > c.tail:
-            total += other.sign
-    return total
+    v = diagram.index_view
+    return _lk_count(v.tail, v.head, v.sign, _chord_index(diagram, chord_id))
 
 
 def lk_smoothed_two_color(diagram: GaussDiagram, chord_id: int) -> Fraction:
@@ -66,54 +90,42 @@ def lk_smoothed_two_color(diagram: GaussDiagram, chord_id: int) -> Fraction:
     chords, and lk is half their signed count.  Returns an exact Fraction so
     a non-integer result (impossible on realizable inputs) is visible.
     """
-    c = diagram.chord(chord_id)
-    lo, hi = min(c.tail, c.head), max(c.tail, c.head)
-
-    def component(p: Fraction) -> int:
-        return 0 if lo < p < hi else 1
-
-    total = 0
-    for other in diagram.chords:
-        if other.id == chord_id:
-            continue
-        if component(other.tail) != component(other.head):
-            total += other.sign
-    return Fraction(total, 2)
+    v = diagram.index_view
+    c = _chord_index(diagram, chord_id)
+    return Fraction(_two_color_crossings(v.tail, v.head, v.sign, c), 2)
 
 
 def is_descending(diagram: GaussDiagram) -> bool:
-    seen: set[int] = set()
-    for _, c, kind in diagram.endpoints():
-        if c.id not in seen:
-            if kind == "H":
-                return False
-            seen.add(c.id)
-    return True
+    """Every chord is first met at its tail."""
+    return all(c.tail < c.head for c in diagram.chords)
 
 
 def descend(diagram: GaussDiagram, check_two_color: bool = True) -> FlipTrace:
-    """Switch first-met-at-head crossings until the diagram is descending."""
-    chords = {c.id: c for c in diagram.chords}
+    """Switch first-met-at-head crossings until the diagram is descending.
+
+    The state is kept as tail, head and sign lists on endpoint indices and
+    flipped in place; the final diagram is built once at the end.
+    """
+    v = diagram.index_view
+    tail, head, sign = list(v.tail), list(v.head), list(v.sign)
     flips = []
-    seen: set[int] = set()
-    for _, c0, kind in diagram.endpoints():
-        if c0.id in seen:
+    for p, c in enumerate(v.at):
+        if head[c] != p or tail[c] < p:
             continue
-        seen.add(c0.id)
-        if kind == "T":
-            continue
-        state = GaussDiagram(chords.values(), shape=diagram.shape)
-        lk = lk_smoothed(state, c0.id)
+        lk = _lk_count(tail, head, sign, c)
         if check_two_color:
-            lk2 = lk_smoothed_two_color(state, c0.id)
-            if lk2 != lk:
+            crossings = _two_color_crossings(tail, head, sign, c)
+            if crossings != 2 * lk:
                 raise NotDescendingRealizable(
-                    f"lk mismatch at chord {c0.id}: count {lk} vs smoothing {lk2}")
-        flips.append((c0.id, chords[c0.id].sign, lk))
-        chords[c0.id] = chords[c0.id].reversed()
-    final = GaussDiagram(chords.values(), shape=diagram.shape,
-                         provenance=diagram.provenance)
-    assert is_descending(final)
+                    f"lk mismatch at chord {diagram.chords[c].id}: count {lk} "
+                    f"vs smoothing {Fraction(crossings, 2)}")
+        flips.append((diagram.chords[c].id, sign[c], lk))
+        tail[c], head[c], sign[c] = head[c], tail[c], -sign[c]
+    final = GaussDiagram([c.reversed() if s != c.sign else c
+                          for c, s in zip(diagram.chords, sign)],
+                         shape=diagram.shape, provenance=diagram.provenance)
+    if not is_descending(final):
+        raise NotDescendingRealizable("descent ended on a non-descending diagram")
     return FlipTrace(tuple(flips), final)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagram import GaussDiagram
-from .pairing import XFWD, XBWD, X_ALL, PatternCombination, bracket
+from .pairing import XFB, X_ALL, bracket
 
 __all__ = [
     "TangleError",
@@ -45,8 +45,6 @@ __all__ = [
     "random_tangle_word",
     "TREFOIL_TANGLE",
 ]
-
-_XFB = PatternCombination(((1, XFWD), (1, XBWD)))
 
 # S3 elements in cycle notation, keyed by the image tuple of (1,2,3)
 PERM_NAMES = {
@@ -392,8 +390,10 @@ def associator_stats(word: TangleWord) -> AssociatorStats:
             branch_order.setdefault(aid, []).append(branch)
     counts = {name: 0 for name in PERM_NAMES.values()}
     for aid, rec in word.assocs.items():
-        visits = branch_order[aid]
-        assert len(visits) == 3
+        visits = branch_order.get(aid, [])
+        if len(visits) != 3:
+            raise TangleError(f"associator {aid}: {len(visits)} branch "
+                              f"markers, expected 3")
         # visits[k] is the left-to-right number of the k-th branch in source
         # order; sigma assigns each source-numbered branch its source rank
         # seen from the left-to-right side.  The direction of this map and
@@ -433,7 +433,7 @@ def v2_natangle(word: TangleWord) -> int:
         raise ValueError("v2_natangle needs a long word; use v2_natangle_closed")
     st = associator_stats(word)
     g = gauss_of_tangle(word)
-    b = bracket(_XFB, g)
+    b = bracket(XFB, g)
     n = st.N
     f1 = Fraction(b, 2) + Fraction(n["1"] + n["(1,3)"], 4) \
         + Fraction(st.X, 4) - Fraction(st.M, 4)

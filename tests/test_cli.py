@@ -34,6 +34,22 @@ def test_missing_input_flag(capsys):
     assert main(["v2"]) == EXIT_PARSE
 
 
+def test_genericity_error_exit_code(capsys):
+    # two vertices at y = 2: parsed fine, rejected by the genericity check
+    knot = '{"shape":"long","vertices":[[0,0,0],[1,2,1],[2,2,0],[0,5,0]]}'
+    assert main(["v2", "--polyknot", knot]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "genericity" in err and len(err.strip().splitlines()) == 1
+
+
+def test_non_realizable_gauss_code_exit_code(capsys):
+    # a virtual knot: the skein descent's two lk counts disagree
+    assert main(["v2", "--gauss", "U1+O2+O1+U2+", "--method", "all"]) \
+        == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "not a realizable" in err and len(err.strip().splitlines()) == 1
+
+
 def test_polyknot_input_runs_morse(tmp_path, capsys):
     path = tmp_path / "tref.json"
     path.write_text(polyknot_from_braid([1, 1, 1], closed=False).to_json())

@@ -52,3 +52,79 @@ def test_oracle_agreement(diagram_corpus):
 def test_flip_count_bounded(diagram_corpus):
     for g in diagram_corpus[:20]:
         assert len(descend(g).flips) <= g.n
+
+
+# -- the running-state descent against a per-flip rebuild ---------------------
+
+from fractions import Fraction
+
+import casson.pairing
+import casson.skein
+from casson.diagram import GaussDiagram
+
+
+def _naive_descend(diagram):
+    """Reference descent: rebuild the diagram after every flip and read lk
+    off Fraction positions, both ways."""
+    chords = {c.id: c for c in diagram.chords}
+    flips, seen = [], set()
+    for _, c0, kind in diagram.endpoints():
+        if c0.id in seen:
+            continue
+        seen.add(c0.id)
+        if kind == "T":
+            continue
+        state = GaussDiagram(chords.values(), shape=diagram.shape)
+        c = state.chord(c0.id)
+        lo, hi = min(c.tail, c.head), max(c.tail, c.head)
+        lk = two = 0
+        for other in state.chords:
+            if other.id != c.id and (lo < other.tail < hi) != (lo < other.head < hi):
+                two += other.sign
+                if other.head > c.tail:
+                    lk += other.sign
+        assert Fraction(two, 2) == lk
+        flips.append((c0.id, c.sign, lk))
+        chords[c0.id] = c.reversed()
+    return flips, GaussDiagram(chords.values(), shape=diagram.shape)
+
+
+def test_descend_equals_per_flip_rebuild(diagram_corpus):
+    for g in diagram_corpus[:100]:
+        trace = descend(g)
+        flips, final = _naive_descend(g)
+        assert list(trace.flips) == flips
+        assert trace.final_diagram.serialize() == final.serialize()
+
+
+def test_lk_wrappers_match_reference(diagram_corpus):
+    for g in diagram_corpus[:30]:
+        for c in g.chords:
+            lo, hi = min(c.tail, c.head), max(c.tail, c.head)
+            cross = [o for o in g.chords if o.id != c.id
+                     and (lo < o.tail < hi) != (lo < o.head < hi)]
+            assert lk_smoothed(g, c.id) == \
+                sum(o.sign for o in cross if o.head > c.tail)
+            assert lk_smoothed_two_color(g, c.id) == \
+                Fraction(sum(o.sign for o in cross), 2)
+
+
+def test_skein_checks_every_flip_without_the_bracket(monkeypatch,
+                                                     diagram_corpus):
+    def forbidden(*args):
+        raise AssertionError("v2_skein called the bracket kernel")
+
+    monkeypatch.setattr(casson.pairing, "_interlock_sum", forbidden)
+    monkeypatch.setattr(casson.pairing, "_enumerate", forbidden)
+    calls = []
+    two_color = casson.skein._two_color_crossings
+
+    def counted(*args):
+        calls.append(args[-1])
+        return two_color(*args)
+
+    monkeypatch.setattr(casson.skein, "_two_color_crossings", counted)
+    for g in diagram_corpus[:20]:
+        calls.clear()
+        trace = descend(g)
+        assert len(calls) == len(trace.flips)
