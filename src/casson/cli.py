@@ -228,11 +228,17 @@ def _cmd_integrate(args) -> int:
     from .mcint import v2_mc
 
     seed = args.seed if args.seed is not None else _default_seed()
+    if args.samples < 1:
+        raise CliError(f"--samples must be a positive integer, got "
+                       f"{args.samples}", EXIT_VALIDATION)
     try:
         with open(args.knot) as fh:
             knot = PolyKnot.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read knot file: {exc}", EXIT_PARSE)
+    if knot.shape != "long":
+        raise CliError("integrate needs a long knot, got a closed one",
+                       EXIT_VALIDATION)
     est = v2_mc(knot, args.samples, seed)
     rec = {"command": "integrate", "value": est.value, "samples": est.samples,
            "seed": est.seed, "rejected": est.rejected}

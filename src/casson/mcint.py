@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .plane import PolyKnot
+from .plane import GenericityError, PolyKnot, segment_crossing
 
 __all__ = ["McEstimate", "linking_mc", "v2_mc", "v2_mc_series",
            "lk_combinatorial"]
@@ -149,47 +150,53 @@ def _diameter(v: np.ndarray) -> float:
     return float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
 
 
+# Projection directions (0, -s, 1) tried in turn by lk_combinatorial.
+_LK_SHEARS = (Fraction(0), Fraction(1, 127), Fraction(1, 61))
+
+
 def lk_combinatorial(loop1, loop2) -> int:
     """Linking number as the signed count of crossings where loop1 passes
-    over loop2, read off the xy-projection (sheared a little if needed)."""
-    a = np.asarray([[float(c) for c in p] for p in _vertices_of(loop1)])
-    b = np.asarray([[float(c) for c in p] for p in _vertices_of(loop2)])
-    for shear in (0.0, 1 / 127.0, 1 / 61.0):
+    over loop2, read off the xy-projection, or off the projection along
+    (0, -s, 1) for a small rational s when that one is not generic.
+
+    Exact: coordinates become Fractions and the crossings come from the
+    plane module's segment test.
+    """
+    a = [tuple(Fraction(c) for c in p) for p in _vertices_of(loop1)]
+    b = [tuple(Fraction(c) for c in p) for p in _vertices_of(loop2)]
+    for shear in _LK_SHEARS:
         try:
             return _lk_projected(a, b, shear)
-        except ValueError:
+        except GenericityError:
             continue
     raise ValueError("could not find a generic projection")
 
 
-def _lk_projected(a: np.ndarray, b: np.ndarray, shear: float) -> int:
-    def project(v):
-        return np.column_stack([v[:, 0], v[:, 1] + shear * v[:, 0], v[:, 2]])
+def _lk_projected(a, b, shear: Fraction) -> int:
+    """Signed over-crossings of loop a with loop b in the projection
+    (x, y + shear * z), where z still orders the points over each image
+    point; GenericityError when that projection is not generic.  (A shear
+    by x would be a linear map of the xy-projection, which keeps every
+    incidence, so it could not make a projection generic.)"""
+    def edges(loop):
+        pts = [((x, y + shear * z), z) for x, y, z in loop]
+        return list(zip(pts, pts[1:] + pts[:1]))
 
-    a, b = project(a), project(b)
     total = 0
-    na, nb = len(a), len(b)
-    for i in range(na):
-        p, dp = a[i], a[(i + 1) % na] - a[i]
-        for j in range(nb):
-            q, dq = b[j], b[(j + 1) % nb] - b[j]
-            den = dp[0] * dq[1] - dp[1] * dq[0]
-            if abs(den) < 1e-12:
+    for i, ((p, zp), (p2, zp2)) in enumerate(edges(a)):
+        for j, ((q, zq), (q2, zq2)) in enumerate(edges(b)):
+            hit = segment_crossing(p, p2, q, q2, i, j)
+            if hit is None:
                 continue
-            r = q - p
-            s = (r[0] * dq[1] - r[1] * dq[0]) / den
-            t = (r[0] * dp[1] - r[1] * dp[0]) / den
-            if not (0 < s < 1 and 0 < t < 1):
-                if min(abs(s), abs(s - 1), abs(t), abs(t - 1)) < 1e-9:
-                    raise ValueError("projection not generic")
-                continue
-            z1 = p[2] + s * dp[2]
-            z2 = q[2] + t * dq[2]
-            if abs(z1 - z2) < 1e-12:
-                raise ValueError("projection not generic")
+            t, u = hit
+            z1 = zp + t * (zp2 - zp)
+            z2 = zq + u * (zq2 - zq)
+            if z1 == z2:
+                raise GenericityError("double point with equal heights")
             if z1 > z2:
-                cross = dp[0] * dq[1] - dp[1] * dq[0]
-                total += 1 if cross > 0 else -1
+                r = (p2[0] - p[0], p2[1] - p[1])
+                s = (q2[0] - q[0], q2[1] - q[1])
+                total += 1 if r[0] * s[1] > r[1] * s[0] else -1
     return total
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "Crossing",
     "MorseStats",
     "project",
+    "segment_crossing",
     "point_index",
     "morse_stats",
     "v2_morse",
@@ -48,9 +49,20 @@ class GenericityError(ValueError):
 
 
 def _frac(v) -> Fraction:
-    if isinstance(v, str):
+    """Exact rational from an int, a finite float, a Fraction or a numeric
+    string; anything else is a ValueError."""
+    if isinstance(v, bool):
+        raise ValueError(f"coordinate {v!r} is not a number")
+    try:
         return Fraction(v)
-    return Fraction(v)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"coordinate {v!r} is not a finite rational") from exc
+
+
+def _vertex(v) -> tuple[Fraction, Fraction, Fraction]:
+    if not isinstance(v, (list, tuple)) or len(v) != 3:
+        raise ValueError(f"vertex {v!r} is not a list of 3 coordinates")
+    return tuple(_frac(c) for c in v)
 
 
 def _sign(x) -> int:
@@ -59,6 +71,56 @@ def _sign(x) -> int:
 
 def _cross(a, b) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
+
+
+def segment_crossing(a, b, c, d, i, j):
+    """Where the plane segments ab and cd, named edges i and j, cross.
+
+    Returns (t, u) with a + t(b - a) = c + u(d - c) when the segments cross
+    transversally at a point interior to both, and None when they do not
+    meet.  Every other contact raises GenericityError naming i and j: a
+    collinear overlap, or an endpoint of one segment on the other.  Points
+    are Fraction pairs.  Not for edges sharing a vertex, which always meet.
+    """
+    r = (b[0] - a[0], b[1] - a[1])
+    s = (d[0] - c[0], d[1] - c[1])
+    denom = _cross(r, s)
+    ac = (c[0] - a[0], c[1] - a[1])
+    if denom == 0:
+        if _cross(ac, r) == 0 and _collinear_overlap(a, b, c, d):
+            raise GenericityError(f"edges {i} and {j} overlap")
+        return None
+    t = _cross(ac, s) / denom
+    u = _cross(ac, r) / denom
+    if not (0 <= t <= 1 and 0 <= u <= 1):
+        return None
+    if not (0 < t < 1 and 0 < u < 1):
+        raise GenericityError(f"edges {i} and {j} meet at an endpoint")
+    return t, u
+
+
+def _collinear_overlap(a, b, c, d) -> bool:
+    lo, hi = min(a[1], b[1]), max(a[1], b[1])
+    return any(lo < p[1] < hi for p in (c, d)) or \
+        any(min(c[1], d[1]) < y < max(c[1], d[1]) for y in (a[1], b[1]))
+
+
+def _box_pairs(edges) -> list[tuple[int, int]]:
+    """Pairs (i, j), i < j, of positions in `edges`, a list of (start, end)
+    segments, whose closed bounding boxes meet, in lexicographic order (see
+    PlaneCurve._find_crossings)."""
+    boxes = [(min(a[1], b[1]), max(a[1], b[1]), min(a[0], b[0]),
+              max(a[0], b[0])) for a, b in edges]
+    active, pairs = [], []
+    for k in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
+        y_lo, _, x_lo, x_hi = boxes[k]
+        active = [m for m in active if boxes[m][1] >= y_lo]
+        for m in active:
+            if boxes[m][2] <= x_hi and x_lo <= boxes[m][3]:
+                pairs.append((m, k) if m < k else (k, m))
+        active.append(k)
+    pairs.sort()
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -74,7 +136,7 @@ class PolyKnot:
     shape: str = "closed"
 
     def __post_init__(self):
-        verts = tuple(tuple(_frac(c) for c in v) for v in self.vertices)
+        verts = tuple(_vertex(v) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
         if self.shape not in ("closed", "long"):
             raise ValueError(f"shape must be 'closed' or 'long', got {self.shape!r}")
@@ -89,9 +151,15 @@ class PolyKnot:
 
     @staticmethod
     def from_json(text: str) -> "PolyKnot":
+        """Parse {"shape": ..., "vertices": [[x, y, z], ...]}; every
+        malformed document is a ValueError."""
         obj = json.loads(text)
-        return PolyKnot(tuple(tuple(_frac(c) for c in v) for v in obj["vertices"]),
-                        shape=obj["shape"])
+        if not isinstance(obj, dict) or not {"shape", "vertices"} <= obj.keys():
+            raise ValueError('polyknot JSON must be an object with "shape" '
+                             'and "vertices"')
+        if not isinstance(obj["vertices"], list):
+            raise ValueError('"vertices" must be a list of [x, y, z] points')
+        return PolyKnot(tuple(obj["vertices"]), shape=obj["shape"])
 
     def to_json(self) -> str:
         return json.dumps({
@@ -152,6 +220,7 @@ class PlaneCurve:
             self.points3 = [(first[0], lo, first[2])] + self.points3 + \
                            [(last[0], hi, last[2])]
             self.points = [(p[0], p[1]) for p in self.points3]
+        self._dirs = self._vertex_dirs()
         self._validate_vertices()
         self.crossings = self._find_crossings()
         self._validate_levels()
@@ -159,11 +228,11 @@ class PlaneCurve:
     # -- construction helpers -------------------------------------------------
 
     def _edges(self):
-        n = len(self.points)
+        """(start, end) of each edge, indexed by edge number."""
+        pts = self.points
         if self.shape == "closed":
-            return [(i, self.points[i], self.points[(i + 1) % n])
-                    for i in range(n)]
-        return [(i, self.points[i], self.points[i + 1]) for i in range(n - 1)]
+            return list(zip(pts, pts[1:] + pts[:1]))
+        return list(zip(pts, pts[1:]))
 
     @property
     def n_edges(self) -> int:
@@ -173,12 +242,12 @@ class PlaneCurve:
         ys = [p[1] for p in self.points]
         if len(set(ys)) != len(ys):
             raise GenericityError("two vertices share a y-coordinate")
-        for _, a, b in self._edges():
+        for a, b in self._edges():
             if a[1] == b[1]:
                 raise GenericityError(f"horizontal edge at y={a[1]}")
             if a == b:
                 raise GenericityError("zero-length edge")
-        for vi, d_in, d_out in self._vertex_dirs():
+        for vi, d_in, d_out in self._dirs:
             if _sign(d_in[1]) != _sign(d_out[1]) and _cross(d_in, d_out) == 0:
                 raise GenericityError(f"degenerate extremum at vertex {vi}")
 
@@ -194,66 +263,57 @@ class PlaneCurve:
         return out
 
     def _find_crossings(self):
+        """Transversal double points, sorted by first passage parameter.
+
+        Only edge pairs whose closed bounding boxes meet reach the segment
+        test: the edges are sorted by lowest y and swept upward, keeping an
+        active list of the edges whose highest y reaches the current edge's
+        lowest, and a pair is a candidate when the closed x-intervals of
+        its two boxes meet as well.  Segments with disjoint closed boxes
+        share no point, so no skipped pair could cross, touch, overlap or
+        share an endpoint; the candidates are tested in the lexicographic
+        order of an all-pairs scan, so an input with several faults raises
+        the same first GenericityError.  The boxes are compared as
+        Fractions, as exactly as the segment test itself.
+        """
         edges = self._edges()
         n = self.n_edges
+        pts3 = self.points3
         crossings = []
-        pts_seen = {}
-        for ii in range(len(edges)):
-            for jj in range(ii + 1, len(edges)):
-                i, a, b = edges[ii]
-                j, c, d = edges[jj]
-                adjacent = (j - i) % n in (1, n - 1) if self.shape == "closed" \
-                    else j - i == 1
-                r = (b[0] - a[0], b[1] - a[1])
-                s = (d[0] - c[0], d[1] - c[1])
-                denom = _cross(r, s)
-                ac = (c[0] - a[0], c[1] - a[1])
-                if denom == 0:
-                    if _cross(ac, r) == 0 and self._collinear_overlap(a, b, c, d) \
-                            and not adjacent:
-                        raise GenericityError(f"edges {i} and {j} overlap")
-                    continue
-                t = _cross(ac, s) / denom
-                u = _cross(ac, r) / denom
-                if not (0 <= t <= 1 and 0 <= u <= 1):
-                    continue
-                if adjacent:
-                    # sharing a vertex is fine; anything more is a real touch
-                    if 0 < t < 1 and 0 < u < 1:
-                        raise GenericityError(
-                            f"adjacent edges {i}, {j} intersect internally")
-                    continue
-                if not (0 < t < 1 and 0 < u < 1):
-                    raise GenericityError(
-                        f"edges {i} and {j} meet at an endpoint")
-                p = (a[0] + t * r[0], a[1] + t * r[1])
-                if p in pts_seen:
-                    raise GenericityError(f"triple point at {p}")
-                pts_seen[p] = True
-                z1 = self.points3[i][2] + t * (self.points3[(i + 1) % len(self.points3)][2]
-                                              - self.points3[i][2])
-                z2 = self.points3[j][2] + u * (self.points3[(j + 1) % len(self.points3)][2]
-                                              - self.points3[j][2])
-                if z1 == z2:
-                    raise GenericityError(f"double point at {p} with equal heights")
-                eps = _sign(_cross(r, s))
-                over_first = z1 > z2
-                writhe = eps if over_first else -eps
-                crossings.append(Crossing(t1=i + t, t2=j + u, point=p,
-                                          d1=r, d2=s, over_first=over_first,
-                                          eps=eps, writhe=writhe))
+        pts_seen = set()
+        for i, j in _box_pairs(edges):
+            # adjacent edges meet at their shared vertex and, unless
+            # collinear, nowhere else; a collinear fold-back is rejected as
+            # a degenerate extremum, so such a pair never crosses
+            if j - i == 1 or (self.shape == "closed" and j - i == n - 1):
+                continue
+            a, b = edges[i]
+            c, d = edges[j]
+            hit = segment_crossing(a, b, c, d, i, j)
+            if hit is None:
+                continue
+            t, u = hit
+            r = (b[0] - a[0], b[1] - a[1])
+            s = (d[0] - c[0], d[1] - c[1])
+            p = (a[0] + t * r[0], a[1] + t * r[1])
+            if p in pts_seen:
+                raise GenericityError(f"triple point at {p}")
+            pts_seen.add(p)
+            z1 = pts3[i][2] + t * (pts3[(i + 1) % len(pts3)][2] - pts3[i][2])
+            z2 = pts3[j][2] + u * (pts3[(j + 1) % len(pts3)][2] - pts3[j][2])
+            if z1 == z2:
+                raise GenericityError(f"double point at {p} with equal heights")
+            eps = _sign(_cross(r, s))
+            over_first = z1 > z2
+            writhe = eps if over_first else -eps
+            crossings.append(Crossing(t1=i + t, t2=j + u, point=p,
+                                      d1=r, d2=s, over_first=over_first,
+                                      eps=eps, writhe=writhe))
         crossings.sort(key=lambda c: c.t1)
         return crossings
 
-    @staticmethod
-    def _collinear_overlap(a, b, c, d) -> bool:
-        (ax, ay), (bx, by) = a, b
-        lo, hi = min(ay, by), max(ay, by)
-        return any(lo < p[1] < hi for p in (c, d)) or \
-            any(min(c[1], d[1]) < y < max(c[1], d[1]) for y in (ay, by))
-
     def _validate_levels(self):
-        levels = [self.points[vi][1] for vi, di, do in self._vertex_dirs()
+        levels = [self.points[vi][1] for vi, di, do in self._dirs
                   if _sign(di[1]) != _sign(do[1])]
         levels += [c.point[1] for c in self.crossings]
         if len(set(levels)) != len(levels):
@@ -272,7 +332,7 @@ class PlaneCurve:
         Turn sign is +1 when the curve turns counterclockwise there.
         """
         out = []
-        for vi, d_in, d_out in self._vertex_dirs():
+        for vi, d_in, d_out in self._dirs:
             si, so = _sign(d_in[1]), _sign(d_out[1])
             if si > 0 and so < 0:
                 out.append((vi, self.points[vi], "max", _sign(_cross(d_in, d_out))))
@@ -305,16 +365,24 @@ class PlaneCurve:
         tail = [point] + [self.points[i] for i in range(int(t2) + 1, len(self.points))]
         return [head, tail]
 
-    def gauss_diagram(self) -> GaussDiagram:
-        """Gauss diagram of the resolved projection (tail at the overpass)."""
-        m = self.n_edges
-        order, signs = [], {}
-        passes = []
+    def gauss_diagram(self, resolution: str = "height") -> GaussDiagram:
+        """Gauss diagram of the resolved projection (tail at the overpass).
+
+        resolution "height" takes each overpass from the knot's z
+        coordinates; "ascending" makes the later passage the overpass at
+        every double point and "descending" the earlier one, which gives
+        the two unknotted resolutions of the curve.
+        """
+        if resolution not in ("height", "ascending", "descending"):
+            raise ValueError(f"unknown resolution {resolution!r}")
+        passes, signs = [], {}
         for idx, c in enumerate(self.crossings, start=1):
-            t_over, t_under = (c.t1, c.t2) if c.over_first else (c.t2, c.t1)
+            over_first = c.over_first if resolution == "height" \
+                else resolution == "descending"
+            t_over, t_under = (c.t1, c.t2) if over_first else (c.t2, c.t1)
             passes.append((t_over, idx, "T"))
             passes.append((t_under, idx, "H"))
-            signs[idx] = c.writhe
+            signs[idx] = c.eps if over_first else -c.eps
         passes.sort()
         order = [(cid, kind) for _, cid, kind in passes]
         return GaussDiagram.from_endpoint_order(order, signs, shape=self.shape)
@@ -485,20 +553,6 @@ def v2_morse_closed(curve: PlaneCurve) -> int:
     return int(val)
 
 
-def _resolved_diagram(curve: PlaneCurve, ascending: bool) -> GaussDiagram:
-    """Gauss diagram of the curve with a forced over/under resolution."""
-    passes, signs = [], {}
-    for idx, c in enumerate(curve.crossings, start=1):
-        over_first = not ascending
-        t_over, t_under = (c.t1, c.t2) if over_first else (c.t2, c.t1)
-        passes.append((t_over, idx, "T"))
-        passes.append((t_under, idx, "H"))
-        signs[idx] = c.eps if over_first else -c.eps
-    passes.sort()
-    return GaussDiagram.from_endpoint_order([(i, k) for _, i, k in passes],
-                                            signs, shape=curve.shape)
-
-
 def arnold_I(curve: PlaneCurve, ascending: bool = True) -> int:
     """The plane-curve characteristic common to all the v2 formulas.
 
@@ -506,7 +560,7 @@ def arnold_I(curve: PlaneCurve, ascending: bool = True) -> int:
     and the whole formula collapses to a bracket.  The result is independent
     of whether the ascending or descending resolution is used.
     """
-    g = _resolved_diagram(curve, ascending)
+    g = curve.gauss_diagram("ascending" if ascending else "descending")
     return -bracket(_X2ALL, g)
 
 

@@ -141,3 +141,52 @@ def test_integrate(tmp_path, capsys):
 
 def test_integrate_bad_file(capsys):
     assert main(["integrate", "--knot", "/nonexistent.json"]) == EXIT_PARSE
+
+
+MALFORMED_POLYKNOTS = {
+    "not_an_object": "[1,2]",
+    "no_vertices": '{"shape":"long"}',
+    "two_coordinates": '{"shape":"long","vertices":[[0,0],[1,1,1],[0,2,0]]}',
+    "overflowing_coordinate":
+        '{"shape":"long","vertices":[[0,0,0],[1e400,1,1],[0,2,0]]}',
+    "four_coordinates":
+        '{"shape":"long","vertices":[[0,0,0,5],[1,1,1],[0,2,0]]}',
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_POLYKNOTS.values(),
+                         ids=MALFORMED_POLYKNOTS.keys())
+def test_v2_malformed_polyknot(text, capsys):
+    assert main(["v2", "--polyknot", text]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "cannot parse" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", MALFORMED_POLYKNOTS.values(),
+                         ids=MALFORMED_POLYKNOTS.keys())
+def test_integrate_malformed_polyknot(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["integrate", "--knot", str(path), "--samples", "100"]) \
+        == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "cannot read" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_integrate_non_positive_samples(samples, tmp_path, capsys):
+    path = tmp_path / "tref.json"
+    path.write_text(polyknot_from_braid([1, 1, 1], closed=False).to_json())
+    assert main(["integrate", "--knot", str(path), "--samples", samples]) \
+        == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "--samples" in err and len(err.strip().splitlines()) == 1
+
+
+def test_integrate_closed_knot(tmp_path, capsys):
+    path = tmp_path / "tref.json"
+    path.write_text(polyknot_from_braid([1, 1, 1], closed=True).to_json())
+    assert main(["integrate", "--knot", str(path), "--samples", "100"]) \
+        == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "long knot" in err and len(err.strip().splitlines()) == 1

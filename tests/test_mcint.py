@@ -15,6 +15,15 @@ def test_hopf_combinatorial():
     assert abs(lk_combinatorial(HOPF_A, HOPF_B)) == 1
 
 
+def test_combinatorial_tilts_a_non_generic_projection():
+    # b's first edge projects through the corner (1, -1) of HOPF_A, so the
+    # xy-projection is not generic; a slightly tilted projection is
+    b = [(0, -0.5, -1), (2, -1.5, -1), (2, 0.5, 1), (0, 0.5, 1)]
+    assert lk_combinatorial(HOPF_A, b) == -1
+    assert lk_combinatorial(HOPF_A, list(reversed(b))) == 1
+    assert linking_mc(HOPF_A, b, 50_000, seed=4).within(-1)
+
+
 def test_linking_converges_to_hopf():
     target = lk_combinatorial(HOPF_A, HOPF_B)
     est = linking_mc(HOPF_A, HOPF_B, 200_000, seed=1)

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casson.diagram import from_braid_word
 from casson.invariants import v2_gauss
 from casson.moves import random_braid_word
-from casson.plane import (GenericityError, PlaneCurve, PolyKnot, arnold_I,
-                          convex_circle_curve, decomposition_identity,
+from casson.plane import (Crossing, GenericityError, PlaneCurve, PolyKnot,
+                          arnold_I, convex_circle_curve, decomposition_identity,
                           morse_stats, polyknot_from_braid, project, v2_morse,
                           v2_morse_closed)
+from casson.skein import is_descending
 
 
 def _long_knot(word):
@@ -111,3 +114,189 @@ def test_perturbed_keeps_long_endpoints():
 def test_svg_export_smoke():
     svg = project(_long_knot([1, 1, 1])).to_svg()
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_forced_resolutions_are_unknotted():
+    for seed in range(5):
+        word = random_braid_word(random.Random(seed), 7)
+        curve = project(polyknot_from_braid(word, closed=seed % 2 == 1))
+        down = curve.gauss_diagram("descending")
+        up = curve.gauss_diagram("ascending")
+        assert is_descending(down)
+        assert all(c.head < c.tail for c in up.chords)
+        assert v2_gauss(down) == v2_gauss(up) == 0
+        assert curve.gauss_diagram().serialize() == \
+            curve.gauss_diagram("height").serialize()
+    with pytest.raises(ValueError):
+        curve.gauss_diagram("sideways")
+
+
+# -- the bounding-box sweep against the all-pairs scan it replaced -----------
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _collinear_overlap(a, b, c, d):
+    lo, hi = min(a[1], b[1]), max(a[1], b[1])
+    return any(lo < p[1] < hi for p in (c, d)) or \
+        any(min(c[1], d[1]) < y < max(c[1], d[1]) for y in (a[1], b[1]))
+
+
+def _all_pairs_crossings(curve):
+    """Reference: the exact segment test on every one of the E(E-1)/2 edge
+    pairs, in lexicographic order."""
+    pts, pts3, n = curve.points, curve.points3, curve.n_edges
+    edges = [(i, pts[i], pts[(i + 1) % len(pts)]) for i in range(n)]
+    crossings = []
+    pts_seen = {}
+    for ii in range(len(edges)):
+        for jj in range(ii + 1, len(edges)):
+            i, a, b = edges[ii]
+            j, c, d = edges[jj]
+            adjacent = (j - i) % n in (1, n - 1) if curve.shape == "closed" \
+                else j - i == 1
+            r = (b[0] - a[0], b[1] - a[1])
+            s = (d[0] - c[0], d[1] - c[1])
+            denom = _cross(r, s)
+            ac = (c[0] - a[0], c[1] - a[1])
+            if denom == 0:
+                if _cross(ac, r) == 0 and _collinear_overlap(a, b, c, d) \
+                        and not adjacent:
+                    raise GenericityError(f"edges {i} and {j} overlap")
+                continue
+            t = _cross(ac, s) / denom
+            u = _cross(ac, r) / denom
+            if not (0 <= t <= 1 and 0 <= u <= 1):
+                continue
+            if adjacent:
+                if 0 < t < 1 and 0 < u < 1:
+                    raise GenericityError(
+                        f"adjacent edges {i}, {j} intersect internally")
+                continue
+            if not (0 < t < 1 and 0 < u < 1):
+                raise GenericityError(
+                    f"edges {i} and {j} meet at an endpoint")
+            p = (a[0] + t * r[0], a[1] + t * r[1])
+            if p in pts_seen:
+                raise GenericityError(f"triple point at {p}")
+            pts_seen[p] = True
+            z1 = pts3[i][2] + t * (pts3[(i + 1) % len(pts3)][2] - pts3[i][2])
+            z2 = pts3[j][2] + u * (pts3[(j + 1) % len(pts3)][2] - pts3[j][2])
+            if z1 == z2:
+                raise GenericityError(f"double point at {p} with equal heights")
+            eps = _sign(_cross(r, s))
+            over_first = z1 > z2
+            crossings.append(Crossing(t1=i + t, t2=j + u, point=p, d1=r, d2=s,
+                                      over_first=over_first, eps=eps,
+                                      writhe=eps if over_first else -eps))
+    crossings.sort(key=lambda c: c.t1)
+    return crossings
+
+
+def _bare_curve(points3, shape):
+    """A PlaneCurve with its polyline set up but nothing validated or
+    searched, so that the two crossing searches see the same curve."""
+    with mock.patch.multiple(PlaneCurve, _validate_vertices=lambda self: None,
+                             _find_crossings=lambda self: [],
+                             _validate_levels=lambda self: None):
+        return PlaneCurve(points3, shape)
+
+
+def _outcome(find, curve):
+    try:
+        return find(curve)
+    except GenericityError as exc:
+        return f"GenericityError: {exc}"
+
+
+def _sweep_outcome(points3, shape):
+    """The sweep's crossings or error, asserted equal to the reference's."""
+    curve = _bare_curve(points3, shape)
+    got = _outcome(PlaneCurve._find_crossings, curve)
+    assert got == _outcome(_all_pairs_crossings, curve)
+    return got
+
+
+def _fixture_knots():
+    knots = [_long_knot(w) for w in ([1, 1, 1], [1, -2, 1, -2], [1])]
+    knots += [polyknot_from_braid([1, 1, 1], closed=True), convex_circle_curve()]
+    knots += [polyknot_from_braid(random_braid_word(random.Random(seed),
+                                                    6 + seed % 5))
+              for seed in range(15)]
+    knots += [polyknot_from_braid(random_braid_word(random.Random(50 + seed),
+                                                    6 + seed % 4), closed=True)
+              for seed in range(10)]
+    knots.append(_long_knot([1, 1, 1]).perturbed(random.Random(1),
+                                                 Fraction(1, 997)))
+    return [(k.vertices, k.shape) for k in knots] + [
+        ([(0, 0, 0), (3, 0, 0), (1, 2, 0)], "closed"),
+        ([(0, 0, 0), (4, 1, 0), (2, 0, 0)], "closed"),
+    ]
+
+
+def test_sweep_matches_all_pairs_on_fixtures():
+    for points3, shape in _fixture_knots():
+        _sweep_outcome(points3, shape)
+
+
+def test_sweep_matches_all_pairs_on_braid_polyknots():
+    # the reference scan takes about 1.5 s on a 41-letter braid, so that
+    # size runs once; every other size runs open and closed, one of the two
+    # perturbed off the braid's grid, alternating which
+    rng = random.Random(2024)
+    cases = [(letters, closed) for letters in (3, 7, 13, 22)
+             for closed in (False, True)] + [(41, False)]
+    for k, (letters, closed) in enumerate(cases):
+        knot = polyknot_from_braid(random_braid_word(rng, letters),
+                                   closed=closed)
+        if (k + k // 2) % 2:
+            knot = knot.perturbed(rng, Fraction(1, 8))
+        _sweep_outcome(knot.vertices, knot.shape)
+
+
+@pytest.mark.parametrize("points3, shape, expected", [
+    ([(1, 0, 0), (3, 2, 0), (1, 3, 1), (3, 3, 1)], "closed", "crossings"),
+    ([(0, 3, 0), (1, 3, 1), (0, 0, 0)], "long", "meet at an endpoint"),
+    ([(0, 2, 0), (0, 0, 1), (0, 3, 0)], "long", "overlap"),
+    ([(1, 1, 1), (2, 2, 1), (1, 2, 1), (3, 0, 0), (1, 2, 0)], "closed",
+     "triple point"),
+    ([(0, 1, 0), (2, 1, 0), (2, 0, 0), (0, 3, 0)], "long", "equal heights"),
+])
+def test_sweep_matches_all_pairs_on_each_fault(points3, shape, expected):
+    got = _sweep_outcome(points3, shape)
+    if expected == "crossings":
+        assert isinstance(got, list) and got
+    else:
+        assert got.startswith("GenericityError") and expected in got
+
+
+@st.composite
+def _coarse_polygons(draw):
+    """Polygons of at most 10 vertices on a 4 x 4 or 9 x 9 grid with two
+    heights, so that shared endpoints, collinear overlaps, triple points and
+    equal-height double points all occur, next to clean crossings;
+    consecutive vertices project apart."""
+    shape = draw(st.sampled_from(("closed", "long")))
+    grid = st.integers(0, draw(st.sampled_from((3, 8))))
+    pts = draw(st.lists(st.tuples(grid, grid, st.integers(0, 1)),
+                        min_size=3, max_size=10))
+    if shape == "long":
+        pts[0], pts[-1] = (0, pts[0][1], 0), (0, pts[-1][1], 0)
+    kept = [p for k, p in enumerate(pts) if k == 0 or p[:2] != pts[k - 1][:2]]
+    if shape == "closed":
+        while len(kept) > 1 and kept[-1][:2] == kept[0][:2]:
+            kept.pop()
+    return kept, shape
+
+
+@settings(max_examples=400, deadline=None)
+@given(_coarse_polygons())
+def test_sweep_matches_all_pairs_on_coarse_polygons(polygon):
+    points3, shape = polygon
+    if len(points3) >= (3 if shape == "closed" else 2):
+        _sweep_outcome(points3, shape)
