@@ -12,8 +12,9 @@ together with the Arf invariant, the crossing-number bound, Reidemeister
 move engines, and random generators used by the cross-method test battery.
 """
 
-from .diagram import (Chord, DiagramError, GaussDiagram, from_braid_word,
-                      parse_gauss_code, parse_pd_code, torus_knot_2)
+from .diagram import (Chord, DiagramError, DisagreementError, GaussDiagram,
+                      from_braid_word, parse_gauss_code, parse_pd_code,
+                      torus_knot_2)
 from .invariants import (InvariantReport, arf, check_bound, crossing_bound,
                          report, v2_gauss, v2_sym)
 from .moves import MoveEngine, MoveSite, apply, random_realizable
@@ -30,7 +31,7 @@ from .tangle import (TangleError, TangleWord, gauss_of_tangle, parse_tangle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chord", "DiagramError", "GaussDiagram", "from_braid_word",
+    "Chord", "DiagramError", "DisagreementError", "GaussDiagram", "from_braid_word",
     "parse_gauss_code", "parse_pd_code", "torus_knot_2",
     "InvariantReport", "arf", "check_bound", "crossing_bound", "report",
     "v2_gauss", "v2_sym",

@@ -23,8 +23,9 @@ import os
 import random
 import sys
 
-from .diagram import (DiagramError, GaussDiagram, from_braid_word,
-                      parse_gauss_code, parse_pd_code, torus_knot_2)
+from .diagram import (DiagramError, DisagreementError, GaussDiagram,
+                      from_braid_word, parse_gauss_code, parse_pd_code,
+                      torus_knot_2)
 from .invariants import arf, check_bound, crossing_bound, v2_gauss, v2_sym
 from .moves import MoveEngine, random_braid_word, random_realizable
 from .plane import GenericityError, PolyKnot, project, v2_morse, v2_morse_closed
@@ -126,6 +127,9 @@ def _run_method(method: str, diagram: GaussDiagram, source) -> dict:
     except NotDescendingRealizable as exc:
         raise CliError(f"input is not a realizable diagram ({method}): {exc}",
                        EXIT_VALIDATION)
+    except DisagreementError as exc:
+        raise CliError(f"internal disagreement in method {method}: {exc}",
+                       EXIT_DISAGREE)
     raise CliError(f"unknown method {method!r}", EXIT_PARSE)
 
 
@@ -288,6 +292,7 @@ def _cmd_batch(args) -> int:
                 any_disagree = True
         except CliError as exc:
             entry["error"] = str(exc)
+            any_disagree |= exc.code == EXIT_DISAGREE
         out.append(entry)
     _emit({"command": "batch", "records": out}, args)
     return EXIT_DISAGREE if any_disagree else 0

@@ -6,19 +6,17 @@ overpass to the underpass and carries the local writhe as its sign.  A based
 diagram additionally fixes a marked point on the circle; "long" diagrams put
 that point at infinity.
 
-Endpoint positions are exact rationals in (0, 1), measured from the base
-point along the orientation, so that moves can insert chords between
-existing endpoints.  Nothing downstream consumes the actual values, only
-their order: the invariant kernels read `GaussDiagram.index_view`, which
-numbers the 2n endpoints 0..2n-1 from the base point and is computed once
-per diagram.
+Every method reads only the order of the endpoints around the circle, so
+a chord's endpoints are integer indices: the 2n endpoints of a diagram sit
+at 0..2n-1, numbered from the base point along the orientation.  A move
+that inserts or deletes chords builds a new diagram from its endpoint
+order (`GaussDiagram.from_endpoint_order`) rather than editing positions.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Literal, NamedTuple
 
@@ -26,6 +24,7 @@ __all__ = [
     "Chord",
     "GaussDiagram",
     "DiagramError",
+    "DisagreementError",
     "EndpointIndex",
     "parse_gauss_code",
     "parse_pd_code",
@@ -38,13 +37,17 @@ class DiagramError(ValueError):
     """Malformed notation or inconsistent diagram data."""
 
 
+class DisagreementError(ArithmeticError):
+    """Formulas that must give one integer do not: always a bug."""
+
+
 @dataclass(frozen=True)
 class Chord:
     """One double point: arrow from the overpass (tail) to the underpass (head)."""
 
     id: int
-    tail: Fraction
-    head: Fraction
+    tail: int
+    head: int
     sign: int
 
     def __post_init__(self):
@@ -52,9 +55,6 @@ class Chord:
             raise DiagramError(f"chord {self.id}: sign must be +1 or -1, got {self.sign}")
         if self.tail == self.head:
             raise DiagramError(f"chord {self.id}: tail and head coincide")
-        for p in (self.tail, self.head):
-            if not (0 < p < 1):
-                raise DiagramError(f"chord {self.id}: position {p} outside (0, 1)")
 
     def reversed(self) -> "Chord":
         """Same chord with direction and sign flipped (a crossing change)."""
@@ -89,8 +89,9 @@ class GaussDiagram:
         self.shape = shape
         self.provenance = provenance
         positions = [p for c in self.chords for p in (c.tail, c.head)]
-        if len(set(positions)) != len(positions):
-            raise DiagramError("endpoint positions are not pairwise distinct")
+        if set(positions) != set(range(len(positions))):
+            raise DiagramError(f"endpoint positions are not exactly "
+                               f"0..{len(positions) - 1}")
         ids = [c.id for c in self.chords]
         if len(set(ids)) != len(ids):
             raise DiagramError("duplicate chord ids")
@@ -106,26 +107,22 @@ class GaussDiagram:
         except KeyError:
             raise DiagramError(f"unknown chord id {chord_id}") from None
 
-    def endpoints(self) -> list[tuple[Fraction, Chord, str]]:
+    def endpoints(self) -> list[tuple[int, Chord, str]]:
         """All 2n endpoints as (position, chord, 'T'|'H'), in circle order."""
-        out = []
+        out = [None] * (2 * self.n)
         for c in self.chords:
-            out.append((c.tail, c, "T"))
-            out.append((c.head, c, "H"))
-        out.sort(key=lambda e: e[0])
+            out[c.tail] = (c.tail, c, "T")
+            out[c.head] = (c.head, c, "H")
         return out
 
     @cached_property
     def index_view(self) -> EndpointIndex:
         """Tail, head and sign of every chord on integer endpoint indices."""
-        index = {c.id: i for i, c in enumerate(self.chords)}
-        tail, head = [0] * self.n, [0] * self.n
-        at = []
-        for p, (_, c, kind) in enumerate(self.endpoints()):
-            i = index[c.id]
-            (tail if kind == "T" else head)[i] = p
-            at.append(i)
-        return EndpointIndex(tuple(tail), tuple(head),
+        at = [0] * (2 * self.n)
+        for i, c in enumerate(self.chords):
+            at[c.tail] = at[c.head] = i
+        return EndpointIndex(tuple(c.tail for c in self.chords),
+                             tuple(c.head for c in self.chords),
                              tuple(c.sign for c in self.chords), tuple(at))
 
     def interlocked(self, a: Chord, b: Chord) -> bool:
@@ -139,15 +136,13 @@ class GaussDiagram:
                             provenance: str = "") -> "GaussDiagram":
         """Build a diagram from endpoint tokens (chord id, 'T'|'H') in circle order.
 
-        Positions are assigned canonically as (i+1)/(2n+1).
+        The i-th token is the endpoint at position i.
         """
-        order = list(order)
-        m = len(order) + 1
-        pos: dict[tuple[int, str], Fraction] = {}
+        pos: dict[tuple[int, str], int] = {}
         for i, tok in enumerate(order):
             if tok in pos:
                 raise DiagramError(f"endpoint {tok} listed twice")
-            pos[tok] = Fraction(i + 1, m)
+            pos[tok] = i
         chords = []
         for cid, sign in signs.items():
             if (cid, "T") not in pos or (cid, "H") not in pos:

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import GaussDiagram
+from .diagram import DisagreementError, GaussDiagram
 from .pairing import XUP, XFB, XFWD, XBWD, X_ALL, PatternCombination, bracket
 
 __all__ = [
@@ -507,9 +507,9 @@ def morse_stats(curve: PlaneCurve) -> MorseStats:
 def _exact_common_integer(values, context: str) -> int:
     first = values[0]
     if any(v != first for v in values[1:]):
-        raise AssertionError(f"{context}: formulas disagree: {values}")
+        raise DisagreementError(f"{context}: formulas disagree: {values}")
     if first.denominator != 1:
-        raise AssertionError(f"{context}: non-integral value {first}")
+        raise DisagreementError(f"{context}: non-integral value {first}")
     return int(first)
 
 
@@ -528,7 +528,8 @@ def v2_morse(curve: PlaneCurve) -> int:
     num1 = 2 * b - (st.I_out + st.I_r) + st.X - st.M
     num3 = 2 * b - (st.I_out + st.I_l) + 2 * st.Xminus
     if num1 % 4 or num3 % 4:
-        raise AssertionError(f"divisibility failure: {num1}/4, {num3}/4")
+        raise DisagreementError(f"v2_morse: divisibility failure: "
+                                f"{num1}/4, {num3}/4")
     f1 = Fraction(num1, 4)
     f2 = Fraction(b, 2) + Fraction(st.I_int, 2) + Fraction(st.Xplus, 2)
     f3 = Fraction(num3, 4)
@@ -549,7 +550,7 @@ def v2_morse_closed(curve: PlaneCurve) -> int:
         + Fraction(st.Q, 12) + Fraction(st.X, 8) - Fraction(st.M, 24) \
         + Fraction(1, 24)
     if val.denominator != 1:
-        raise AssertionError(f"v2_morse_closed: non-integral value {val}")
+        raise DisagreementError(f"v2_morse_closed: non-integral value {val}")
     return int(val)
 
 

@@ -22,6 +22,16 @@ Grammar (one event per line, bottom to top, 1-based positions):
                 strand goes over; the sign must equal the resulting writhe
     A@i:L|R     associator on strands i, i+1, i+2; L turns ((a b) c) into
                 (a (b c)), R the other way
+
+The bracketing is one binary tree (`_StrandTree`) shared by the tracer,
+which validates each event before applying it, and the random generator,
+which applies only legal moves.  Every node keeps a parent pointer and the
+tree keeps its leaves (the strands) in a list in left-to-right order, so
+finding the strands at a position, the sibling and associator tests and
+the tree surgery of each move take O(1) steps; a cup or a cap also edits
+the leaf list.  A strand holds the deque of source records of the arc of
+the knot that it ends, and the strand at the arc's other end; a cap
+appends the records of one arc to the other's deque in place.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .diagram import GaussDiagram
+from .diagram import DisagreementError, GaussDiagram
 from .pairing import XFB, X_ALL, bracket
 
 __all__ = [
@@ -62,31 +72,6 @@ _PERM_SIGN = {"1": 1, "(1,2,3)": 1, "(1,3,2)": 1,
 
 class TangleError(ValueError):
     """Malformed or illegal tangle word; message names the offending event."""
-
-
-@dataclass
-class _Leaf:
-    orient: str            # 'u' or 'd'
-    piece: deque
-    # the curve is traced through each piece front-to-back; an up strand
-    # grows at the back (later in the source), a down strand at the front
-
-
-class _Node:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-
-def _leaves(tree, out):
-    if isinstance(tree, _Leaf):
-        out.append(tree)
-    else:
-        _leaves(tree.left, out)
-        _leaves(tree.right, out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -149,7 +134,8 @@ def parse_tangle(text: str, shape: str = "long") -> TangleWord:
             events.append(Event("min" if head == "MIN" else "max", pos,
                                 orient=parts[1]))
         elif head == "X":
-            if len(parts) != 3 or parts[1] not in "+-" or parts[2] not in "ou":
+            if len(parts) != 3 or parts[1] not in ("+", "-") \
+                    or parts[2] not in ("o", "u"):
                 raise TangleError(f"line {lineno}: X needs :+|-:o|u")
             events.append(Event("cross", pos, sign=1 if parts[1] == "+" else -1,
                                 left_over=parts[2] == "o"))
@@ -164,11 +150,122 @@ def parse_tangle(text: str, shape: str = "long") -> TangleWord:
     return word
 
 
+class _Leaf:
+    """A strand.  `piece` holds the records of the arc it ends, in source
+    order: an up strand grows it at the back (later in the source), a down
+    strand at the front.  `mate` is the strand at the arc's other end, None
+    for the arc that starts at the bottom of a long knot."""
+
+    __slots__ = ("orient", "piece", "mate", "parent")
+
+    def __init__(self, orient: str, piece: deque, mate=None):
+        self.orient = orient
+        self.piece = piece
+        self.mate = mate
+        self.parent = None
+
+
+class _Node:
+    __slots__ = ("left", "right", "parent")
+
+    def __init__(self, left, right):
+        self.left, self.right, self.parent = left, right, None
+        left.parent = right.parent = self
+
+
+class _StrandTree:
+    """Bracketed strand sequence: a binary tree with parent pointers and
+    its leaves in left-to-right order.  Positions here are 0-based, and
+    `apply` does not check legality: its callers do."""
+
+    def __init__(self, shape: str):
+        self.root = _Leaf("u", deque()) if shape == "long" else None
+        self.leaves = [self.root] if shape == "long" else []
+
+    def siblings(self, i: int):
+        """Parent of strands i, i+1 if they are bracket siblings, else None."""
+        p = self.leaves[i].parent
+        return p if p is not None and p is self.leaves[i + 1].parent else None
+
+    def assoc_ok(self, i: int, side: str) -> bool:
+        """Whether strands i..i+2 are bracketed ((a b) c) for side L or
+        (a (b c)) for side R."""
+        a, b, c = self.leaves[i:i + 3]
+        inner, outer = (a, c) if side == "L" else (c, a)
+        p = inner.parent
+        return p is not None and p is b.parent and p.parent is not None \
+            and p.parent is outer.parent
+
+    def _hang(self, node, parent, old):
+        """Hang node below parent (at the root if None) where old hung."""
+        node.parent = parent
+        if parent is None:
+            self.root = node
+        elif parent.left is old:
+            parent.left = node
+        else:
+            parent.right = node
+
+    def apply(self, ev: Event) -> None:
+        """Cup, cap, cross or rebracket at the event's position."""
+        i = ev.pos - 1
+        leaves = self.leaves
+        if ev.kind == "min":
+            lo = _Leaf(ev.orient, deque())
+            lo.mate = _Leaf("d" if ev.orient == "u" else "u", lo.piece, lo)
+            pair = _Node(lo, lo.mate)
+            if self.root is None:
+                self.root = pair
+            else:
+                anchor = leaves[max(i - 1, 0)]
+                parent = anchor.parent
+                self._hang(_Node(pair, anchor) if i == 0 else
+                           _Node(anchor, pair), parent, anchor)
+            leaves[i:i] = (lo, lo.mate)
+        elif ev.kind == "max":
+            a, b = leaves[i], leaves[i + 1]
+            up, down = (a, b) if a.orient == "u" else (b, a)
+            if up.piece is not down.piece:
+                # the knot runs up `up`, over the cap and down `down`: down's
+                # arc continues up's, and their far ends become mates.  An arc
+                # is entered at a down strand (or the bottom of a long knot)
+                # and left at an up strand, so down.mate is never None.
+                up.piece.extend(down.piece)
+                far_up, far_down = up.mate, down.mate
+                far_down.piece, far_down.mate = up.piece, far_up
+                if far_up is not None:
+                    far_up.mate = far_down
+            p = a.parent
+            gp = p.parent
+            if gp is None:
+                self.root = None
+            else:
+                self._hang(gp.right if gp.left is p else gp.left, gp.parent, gp)
+            del leaves[i:i + 2]
+        elif ev.kind == "cross":
+            a, b = leaves[i], leaves[i + 1]
+            a.parent.left, a.parent.right = b, a
+            leaves[i], leaves[i + 1] = b, a
+        else:
+            a, b, c = leaves[i:i + 3]
+            gp = c.parent if ev.side == "L" else a.parent
+            gp.left, gp.right = (a, _Node(b, c)) if ev.side == "L" \
+                else (_Node(a, b), c)
+            gp.left.parent = gp.right.parent = gp
+
+
 def _strand_dir(orient: str, moving_right: bool):
     """Knot-direction vector of a strand in a crossing strip."""
     if orient == "u":
         return (1, 1) if moving_right else (-1, 1)
     return (-1, -1) if moving_right else (1, -1)
+
+
+def _cross_dirs(a: _Leaf, b: _Leaf, left_over: bool):
+    """(over, under) knot directions where strand a crosses b from the left."""
+    d_left = _strand_dir(a.orient, moving_right=True)
+    d_right = _strand_dir(b.orient, moving_right=False)
+    return (d_left, d_right) if left_over else (d_right, d_left)
 
 
 def _push(leaf: _Leaf, record):
@@ -178,181 +275,97 @@ def _push(leaf: _Leaf, record):
         leaf.piece.appendleft(record)
 
 
-def _replace_child(parent, old, new, root_holder):
-    if parent is None:
-        root_holder[0] = new
-    elif parent.left is old:
-        parent.left = new
-    else:
-        parent.right = new
-
-
-def _find_parent(tree, target, parent=None):
-    if tree is target:
-        return parent
-    if isinstance(tree, _Leaf):
-        return None
-    return _find_parent(tree.left, target, tree) or \
-        _find_parent(tree.right, target, tree)
-
-
 def _trace(word: TangleWord):
-    """Validate the word, build piece connectivity, and flatten the source."""
+    """Validate each event on the strand tree and apply it, recording the
+    passages of crossings and associators; then flatten the source."""
     long_shape = word.shape == "long"
-    root_holder = [None]
-    open_pieces = []  # all pieces not yet merged away, for component checks
-    if long_shape:
-        start = deque()
-        root_holder[0] = _Leaf("u", start)
-        open_pieces.append(start)
-    n_cross = n_assoc = 0
+    tree = _StrandTree(word.shape)
+    leaves = tree.leaves
+    last = len(word.events) - 1
 
     for step, ev in enumerate(word.events):
-        tree = root_holder[0]
-        leaves = _leaves(tree, []) if tree is not None else []
         k = len(leaves)
+        i = ev.pos - 1
 
         if ev.kind == "min":
             if not 1 <= ev.pos <= k + 1:
                 raise TangleError(f"event {step}: MIN position {ev.pos} "
                                   f"out of range 1..{k + 1}")
-            piece = deque()
-            open_pieces.append(piece)
-            lo = _Leaf(ev.orient, piece)
-            ro = _Leaf("d" if ev.orient == "u" else "u", piece)
-            pair = _Node(lo, ro)
-            if tree is None:
-                root_holder[0] = pair
-            elif ev.pos == 1:
-                anchor = leaves[0]
-                parent = _find_parent(tree, anchor)
-                _replace_child(parent, anchor, _Node(pair, anchor), root_holder)
-            else:
-                anchor = leaves[ev.pos - 2]
-                parent = _find_parent(tree, anchor)
-                _replace_child(parent, anchor, _Node(anchor, pair), root_holder)
-            continue
-
-        if tree is None:
+        elif tree.root is None:
             raise TangleError(f"event {step}: no strands present")
 
-        if ev.kind == "max":
+        elif ev.kind == "max":
             if not 1 <= ev.pos <= k - 1:
                 raise TangleError(f"event {step}: MAX position {ev.pos} "
                                   f"out of range")
-            a, b = leaves[ev.pos - 1], leaves[ev.pos]
-            parent = _find_parent(tree, a)
-            if parent is None or not (parent.left is a and parent.right is b):
+            parent = tree.siblings(i)
+            if parent is None:
                 raise TangleError(f"event {step}: strands {ev.pos},{ev.pos + 1} "
                                   f"are not bracket siblings")
+            a, b = leaves[i], leaves[i + 1]
             if a.orient == b.orient:
                 raise TangleError(f"event {step}: cap on equally oriented strands")
             if ev.orient != a.orient:
                 raise TangleError(f"event {step}: MAX annotation {ev.orient!r} "
                                   f"does not match left strand {a.orient!r}")
-            down, up = (a, b) if a.orient == "d" else (b, a)
-            # knot flows up the 'up' strand into the cap and down the 'down'
-            # strand, so the up strand's piece precedes the down strand's
-            if up.piece is down.piece:
-                if long_shape or k > 2 or step != len(word.events) - 1:
+            if a.piece is b.piece:
+                if long_shape or k > 2 or step != last:
                     raise TangleError(f"event {step}: cap closes off a "
                                       f"separate component")
-                word.source = list(up.piece)
-                open_pieces.remove(up.piece)
-                root_holder[0] = None
-                continue
-            old_up, old_down = up.piece, down.piece
-            merged = deque(old_up)
-            merged.extend(old_down)
-            open_pieces.remove(old_up)
-            open_pieces.remove(old_down)
-            open_pieces.append(merged)
-            # retarget every leaf sharing either old piece (including up and
-            # down themselves, so compare against the saved references)
-            for leaf in _leaves(tree, []):
-                if leaf.piece is old_up or leaf.piece is old_down:
-                    leaf.piece = merged
-            gp = _find_parent(tree, parent)
-            if gp is None:
+                word.source = list(a.piece)
+            elif parent.parent is None:
                 raise TangleError(f"event {step}: cap would leave no strands"
                                   if long_shape else
                                   f"event {step}: final cap must close the loop")
-            other = gp.right if gp.left is parent else gp.left
-            ggp = _find_parent(tree, gp)
-            _replace_child(ggp, gp, other, root_holder)
-            continue
 
-        if ev.kind == "cross":
+        elif ev.kind == "cross":
             if not 1 <= ev.pos <= k - 1:
                 raise TangleError(f"event {step}: X position {ev.pos} out of range")
-            a, b = leaves[ev.pos - 1], leaves[ev.pos]
-            parent = _find_parent(tree, a)
-            if parent is None or not (parent.left is a and parent.right is b):
+            if tree.siblings(i) is None:
                 raise TangleError(f"event {step}: strands {ev.pos},{ev.pos + 1} "
                                   f"are not bracket siblings")
-            n_cross += 1
-            cid = n_cross
-            d_left = _strand_dir(a.orient, moving_right=True)
-            d_right = _strand_dir(b.orient, moving_right=False)
-            d_over, d_under = (d_left, d_right) if ev.left_over \
-                else (d_right, d_left)
+            a, b = leaves[i], leaves[i + 1]
+            d_over, d_under = _cross_dirs(a, b, ev.left_over)
             writhe = _sign_cross(d_over, d_under)
             if writhe != ev.sign:
                 raise TangleError(f"event {step}: declared sign "
                                   f"{ev.sign:+d} but orientations give "
                                   f"{writhe:+d}")
+            cid = len(word.crossings) + 1
             over, under = (a, b) if ev.left_over else (b, a)
             _push(over, (cid, "T"))
             _push(under, (cid, "H"))
             word.crossings[cid] = _CrossRec(cid, writhe, d_over, d_under)
-            # swap the two strands in place
-            parent.left, parent.right = b, a
-            continue
 
-        if ev.kind == "assoc":
+        elif ev.kind == "assoc":
             if not 1 <= ev.pos <= k - 2:
                 raise TangleError(f"event {step}: A position {ev.pos} "
                                   f"needs three strands")
-            a, b, c = leaves[ev.pos - 1], leaves[ev.pos], leaves[ev.pos + 1]
-            pa = _find_parent(tree, a)
-            pc = _find_parent(tree, c)
-            if ev.side == "L":
-                # ((a b) c) -> (a (b c)): a,b siblings, their parent sibling of c
-                if not (pa is not None and pa.left is a and pa.right is b):
-                    raise TangleError(f"event {step}: A:L needs ((a b) c) shape")
-                gp = _find_parent(tree, pa)
-                if gp is None or gp.left is not pa or gp.right is not c:
-                    raise TangleError(f"event {step}: A:L needs ((a b) c) shape")
-                gp.left, gp.right = a, _Node(b, c)
-            else:
-                # (a (b c)) -> ((a b) c)
-                if not (pc is not None and pc.left is b and pc.right is c):
-                    raise TangleError(f"event {step}: A:R needs (a (b c)) shape")
-                gp = _find_parent(tree, pc)
-                if gp is None or gp.left is not a or gp.right is not pc:
-                    raise TangleError(f"event {step}: A:R needs (a (b c)) shape")
-                gp.left, gp.right = _Node(a, b), c
-            n_assoc += 1
-            aid = n_assoc
-            q_up = sum(1 for s in (a, b, c) if s.orient == "u")
-            for branch, s in enumerate((a, b, c), start=1):
+            if not tree.assoc_ok(i, ev.side):
+                raise TangleError(f"event {step}: A:L needs ((a b) c) shape"
+                                  if ev.side == "L" else
+                                  f"event {step}: A:R needs (a (b c)) shape")
+            aid = len(word.assocs) + 1
+            strands = leaves[i:i + 3]
+            for branch, s in enumerate(strands, start=1):
                 _push(s, ("A", aid, branch))
-            word.assocs[aid] = _AssocRec(aid, ev.side, q_up)
-            continue
+            word.assocs[aid] = _AssocRec(
+                aid, ev.side, sum(1 for s in strands if s.orient == "u"))
 
-        raise TangleError(f"event {step}: unknown kind {ev.kind!r}")
+        else:
+            raise TangleError(f"event {step}: unknown kind {ev.kind!r}")
 
-    tree = root_holder[0]
-    if word.shape == "long":
-        if not isinstance(tree, _Leaf):
-            got = len(_leaves(tree, [])) if tree is not None else 0
-            raise TangleError(f"word leaves {got} strands open, need exactly "
-                              f"the one long strand")
-        if tree.orient != "u":
+        tree.apply(ev)
+
+    if long_shape:
+        if len(leaves) != 1:
+            raise TangleError(f"word leaves {len(leaves)} strands open, need "
+                              f"exactly the one long strand")
+        if tree.root.orient != "u":
             raise TangleError("long strand must exit upward")
-        word.source = list(tree.piece)
+        word.source = list(tree.root.piece)
     else:
-        if tree is not None:
+        if tree.root is not None:
             raise TangleError("closed word must cap every strand")
         if not word.events:
             raise TangleError("closed word cannot be empty")
@@ -442,9 +455,9 @@ def v2_natangle(word: TangleWord) -> int:
     f3 = Fraction(b, 2) + Fraction(n["(1,2)"] + n["(1,2,3)"], 4) \
         + Fraction(st.Xminus, 2)
     if f1 != f2 or f2 != f3:
-        raise AssertionError(f"v2_natangle: formulas disagree: {f1} {f2} {f3}")
+        raise DisagreementError(f"v2_natangle: formulas disagree: {f1} {f2} {f3}")
     if f1.denominator != 1:
-        raise AssertionError(f"v2_natangle: non-integral value {f1}")
+        raise DisagreementError(f"v2_natangle: non-integral value {f1}")
     return int(f1)
 
 
@@ -457,7 +470,7 @@ def v2_natangle_closed(word: TangleWord) -> int:
     val = Fraction(bracket(X_ALL, g), 4) + Fraction(st.N_total, 24) \
         + Fraction(st.X, 8) - Fraction(st.M, 24) + Fraction(1, 24)
     if val.denominator != 1:
-        raise AssertionError(f"v2_natangle_closed: non-integral value {val}")
+        raise DisagreementError(f"v2_natangle_closed: non-integral value {val}")
     return int(val)
 
 
@@ -474,151 +487,62 @@ MAX@2:u
 """
 
 
-def _sibling_pairs(tree):
+def _sibling_pairs(tree: _StrandTree):
     """(position, left leaf, right leaf, parent) for bracket-sibling leaves."""
-    leaves = _leaves(tree, [])
     out = []
-    for i in range(len(leaves) - 1):
-        a, b = leaves[i], leaves[i + 1]
-        parent = _find_parent(tree, a)
-        if parent is not None and parent.left is a and parent.right is b:
-            out.append((i + 1, a, b, parent))
+    for i in range(len(tree.leaves) - 1):
+        parent = tree.siblings(i)
+        if parent is not None:
+            out.append((i + 1, tree.leaves[i], tree.leaves[i + 1], parent))
     return out
 
 
-def _assoc_sites(tree):
+def _assoc_sites(tree: _StrandTree):
     """(position, side) of legal associator moves."""
-    leaves = _leaves(tree, [])
-    out = []
-    for i in range(len(leaves) - 2):
-        a, b, c = leaves[i], leaves[i + 1], leaves[i + 2]
-        pa = _find_parent(tree, a)
-        if pa is not None and pa.left is a and pa.right is b:
-            gp = _find_parent(tree, pa)
-            if gp is not None and gp.left is pa and gp.right is c:
-                out.append((i + 1, "L"))
-        pc = _find_parent(tree, c)
-        if pc is not None and pc.left is b and pc.right is c:
-            gp = _find_parent(tree, pc)
-            if gp is not None and gp.left is a and gp.right is pc:
-                out.append((i + 1, "R"))
-    return out
+    return [(i + 1, side) for i in range(len(tree.leaves) - 2)
+            for side in "LR" if tree.assoc_ok(i, side)]
 
 
-def _cross_line(pos, a, b, left_over):
-    d_left = _strand_dir(a.orient, True)
-    d_right = _strand_dir(b.orient, False)
-    d_over, d_under = (d_left, d_right) if left_over else (d_right, d_left)
-    s = "+" if _sign_cross(d_over, d_under) > 0 else "-"
-    return f"X@{pos}:{s}:{'o' if left_over else 'u'}"
+def _cross_event(pos, a, b, left_over):
+    sign = _sign_cross(*_cross_dirs(a, b, left_over))
+    return Event("cross", pos, sign=sign, left_over=left_over)
 
 
-def _attempt_random_lines(rng: random.Random, n_events: int, shape: str):
+def _attempt_random_events(rng: random.Random, n_events: int, shape: str):
     """One attempt at a legal word; tree-level legality only (the final
-    parse still checks connectivity)."""
-    root = _Leaf("u", deque()) if shape == "long" else None
-    lines = []
-
-    def leaves():
-        return _leaves(root, []) if root is not None else []
-
-    def apply_line(line):
-        nonlocal root
-        head, rest = line.split("@", 1)
-        parts = rest.split(":")
-        pos = int(parts[0])
-        lv = leaves()
-        if head == "MIN":
-            piece = deque()
-            lo = _Leaf(parts[1], piece)
-            ro = _Leaf("d" if parts[1] == "u" else "u", piece)
-            pair = _Node(lo, ro)
-            if root is None:
-                root = pair
-            elif pos == 1:
-                anchor = lv[0]
-                p = _find_parent(root, anchor)
-                new = _Node(pair, anchor)
-                root = new if p is None else root
-                if p is not None:
-                    if p.left is anchor:
-                        p.left = new
-                    else:
-                        p.right = new
-            else:
-                anchor = lv[pos - 2]
-                p = _find_parent(root, anchor)
-                new = _Node(anchor, pair)
-                root = new if p is None else root
-                if p is not None:
-                    if p.left is anchor:
-                        p.left = new
-                    else:
-                        p.right = new
-        elif head == "MAX":
-            a, b = lv[pos - 1], lv[pos]
-            old_a, old_b = a.piece, b.piece
-            parent = _find_parent(root, a)
-            gp = _find_parent(root, parent)
-            if gp is None:
-                root = None
-            else:
-                for leaf in leaves():
-                    if leaf.piece is old_b:
-                        leaf.piece = old_a
-                other = gp.right if gp.left is parent else gp.left
-                ggp = _find_parent(root, gp)
-                if ggp is None:
-                    root = other
-                elif ggp.left is gp:
-                    ggp.left = other
-                else:
-                    ggp.right = other
-        elif head == "X":
-            a = lv[pos - 1]
-            parent = _find_parent(root, a)
-            parent.left, parent.right = parent.right, parent.left
-        else:  # A
-            a, b, c = lv[pos - 1], lv[pos], lv[pos + 1]
-            if parts[1] == "L":
-                pa = _find_parent(root, a)
-                gp = _find_parent(root, pa)
-                gp.left, gp.right = a, _Node(b, c)
-            else:
-                pc = _find_parent(root, c)
-                gp = _find_parent(root, pc)
-                gp.left, gp.right = _Node(a, b), c
+    trace still checks connectivity)."""
+    tree = _StrandTree(shape)
+    events = []
 
     for _ in range(6 * n_events + 60):
-        lv = leaves()
-        k = len(lv)
-        done = (k == 1 and root.orient == "u") if shape == "long" \
-            else (root is None and lines)
-        grow = len(lines) < n_events
+        k = len(tree.leaves)
+        done = (k == 1 and tree.root.orient == "u") if shape == "long" \
+            else (tree.root is None and events)
+        grow = len(events) < n_events
         if done and not grow:
-            return lines
+            return events
         options = []
         if grow:
             for i in range(1, k + 2):
                 for o in "ud":
-                    options.append(f"MIN@{i}:{o}")
+                    options.append(Event("min", i, orient=o))
         caps = []
-        for pos, a, b, parent in _sibling_pairs(root) if root is not None else []:
-            options.append(_cross_line(pos, a, b, True))
-            options.append(_cross_line(pos, a, b, False))
+        for pos, a, b, parent in _sibling_pairs(tree):
+            options.append(_cross_event(pos, a, b, True))
+            options.append(_cross_event(pos, a, b, False))
             if a.orient != b.orient:
                 # never pinch off a separate component: cap only strands of
                 # distinct pieces, except the final closure of a closed word;
                 # likewise never cap the root pair of a long word
-                at_root = _find_parent(root, parent) is None
+                at_root = parent.parent is None
                 if a.piece is not b.piece and not (at_root and shape == "long"):
-                    caps.append(f"MAX@{pos}:{a.orient}")
+                    caps.append(Event("max", pos, orient=a.orient))
                 elif a.piece is b.piece and shape == "closed" and k == 2 \
                         and not grow:
-                    caps.append(f"MAX@{pos}:{a.orient}")
+                    caps.append(Event("max", pos, orient=a.orient))
         options.extend(caps)
-        assoc = [f"A@{pos}:{side}"
-                 for pos, side in (_assoc_sites(root) if root is not None else [])]
+        assoc = [Event("assoc", pos, side=side)
+                 for pos, side in _assoc_sites(tree)]
         options.extend(assoc)
         if not options:
             return None
@@ -629,8 +553,8 @@ def _attempt_random_lines(rng: random.Random, n_events: int, shape: str):
             pick = rng.choice(assoc + options)
         else:
             pick = rng.choice(options)
-        apply_line(pick)
-        lines.append(pick)
+        tree.apply(pick)
+        events.append(pick)
     return None
 
 
@@ -640,11 +564,13 @@ def random_tangle_word(seed: int, n_events: int = 12,
     whose caps would pinch off a separate component."""
     rng = random.Random(seed)
     for _ in range(500):
-        lines = _attempt_random_lines(rng, n_events, shape)
-        if lines is None:
+        events = _attempt_random_events(rng, n_events, shape)
+        if events is None:
             continue
+        word = TangleWord(tuple(events), shape)
         try:
-            return parse_tangle("\n".join(lines), shape)
+            _trace(word)
         except TangleError:
             continue
+        return word
     raise RuntimeError(f"no legal tangle word found for seed {seed}")

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from casson.cli import EXIT_PARSE, EXIT_VALIDATION, ingest_csv, main
+from casson.cli import EXIT_DISAGREE, EXIT_PARSE, EXIT_VALIDATION, ingest_csv, main
 from casson.plane import polyknot_from_braid
 
 
@@ -190,3 +191,45 @@ def test_integrate_closed_knot(tmp_path, capsys):
         == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "long knot" in err and len(err.strip().splitlines()) == 1
+
+
+TREFOIL_TANGLE_TEXT = "MIN@2:u\nA@1:R\nX@1:+:o\nX@1:+:o\nX@1:+:o\nA@1:L\nMAX@2:u\n"
+
+
+@pytest.mark.parametrize("crossing", ["X@1::u", "X@1:-:", "X@1:+-:u",
+                                      "X@1:-:ou"])
+def test_tangle_crossing_fields_must_be_exact(crossing, capsys):
+    text = TREFOIL_TANGLE_TEXT.replace("X@1:+:o", crossing, 1)
+    assert main(["v2", "--tangle", text, "--method", "natangle"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "X needs" in err and len(err.strip().splitlines()) == 1
+
+
+def _off_by_one(monkeypatch, module, name):
+    """Patch module.name so that the Xplus term of its stats is one too big."""
+    original = getattr(module, name)
+
+    def patched(*args):
+        stats = original(*args)
+        return dataclasses.replace(stats, Xplus=stats.Xplus + 1)
+
+    monkeypatch.setattr(module, name, patched)
+
+
+def test_formula_disagreement_exit_code(monkeypatch, tmp_path, capsys):
+    import casson.plane
+    import casson.tangle
+
+    path = tmp_path / "tref.json"
+    path.write_text(polyknot_from_braid([1, 1, 1], closed=False).to_json())
+    _off_by_one(monkeypatch, casson.plane, "morse_stats")
+    _off_by_one(monkeypatch, casson.tangle, "associator_stats")
+    for method, flag, payload in (("morse", "--polyknot", str(path)),
+                                  ("natangle", "--tangle", TREFOIL_TANGLE_TEXT)):
+        assert main(["v2", flag, payload, "--method", method]) == EXIT_DISAGREE
+        err = capsys.readouterr().err
+        assert method in err and len(err.strip().splitlines()) == 1
+    table = tmp_path / "t.csv"
+    table.write_text(f"name,kind,payload\ntref,polyknot,{path}\n")
+    code, out = run(capsys, "batch", str(table), "--method", "morse")
+    assert code == EXIT_DISAGREE and "morse" in out["records"][0]["error"]

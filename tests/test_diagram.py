@@ -1,6 +1,7 @@
 import pytest
 
-from casson.diagram import (DiagramError, GaussDiagram, braid_closure_components,
+from casson.diagram import (Chord, DiagramError, GaussDiagram,
+                            braid_closure_components,
                             from_braid_word, parse_gauss_code, parse_pd_code,
                             torus_knot_2)
 
@@ -96,3 +97,18 @@ def test_from_endpoint_order_validation():
         GaussDiagram.from_endpoint_order([(1, "T")], {1: 1})
     with pytest.raises(DiagramError):
         GaussDiagram.from_endpoint_order([(1, "T"), (1, "H")], {1: 2})
+
+
+@pytest.mark.parametrize("ends", [
+    [(0, 2), (3, 5)],    # gaps at 1 and 4
+    [(0, 2), (1, 2)],    # duplicate
+    [(-1, 2), (1, 0)],   # negative index
+    [(0, 4), (1, 2)],    # index 2n
+    [(0, 1), (2, 7)],    # index beyond 2n
+], ids=["gap", "duplicate", "negative", "2n", "beyond_2n"])
+def test_positions_must_be_0_to_2n_minus_1(ends):
+    chords = [Chord(i, t, h, 1) for i, (t, h) in enumerate(ends, start=1)]
+    with pytest.raises(DiagramError):
+        GaussDiagram(chords)
+    ok = [Chord(1, 0, 2, 1), Chord(2, 3, 1, -1)]
+    assert GaussDiagram(ok).index_view.at == (0, 1, 0, 1)

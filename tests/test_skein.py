@@ -65,7 +65,7 @@ from casson.diagram import GaussDiagram
 
 def _naive_descend(diagram):
     """Reference descent: rebuild the diagram after every flip and read lk
-    off Fraction positions, both ways."""
+    off chord positions, both ways."""
     chords = {c.id: c for c in diagram.chords}
     flips, seen = [], set()
     for _, c0, kind in diagram.endpoints():

@@ -78,3 +78,74 @@ def test_shape_guards():
     closed_word = random_tangle_word(0, n_events=8, shape="closed")
     with pytest.raises(ValueError):
         v2_natangle(closed_word)
+
+
+# -- golden digests of the generator and the tracer ---------------------------
+
+import hashlib
+
+
+def _line(ev):
+    if ev.kind in ("min", "max"):
+        return f"{ev.kind.upper()}@{ev.pos}:{ev.orient}"
+    if ev.kind == "cross":
+        return (f"X@{ev.pos}:{'+' if ev.sign > 0 else '-'}:"
+                f"{'o' if ev.left_over else 'u'}")
+    return f"A@{ev.pos}:{ev.side}"
+
+
+def _traced(word):
+    return repr((word.source,
+                 [(c.cid, c.sign, c.d_over, c.d_under)
+                  for c in word.crossings.values()],
+                 [(a.aid, a.side, a.q_up) for a in word.assocs.values()]))
+
+
+def _mutants(lines, seed):
+    """Drop line i, swap lines i-1 and i, shift line i one position right."""
+    i = 1 + 7 * seed % (len(lines) - 1)
+    head, rest = lines[i].split("@", 1)
+    pos, _, tail = rest.partition(":")
+    yield lines[:i] + lines[i + 1:]
+    yield lines[:i - 1] + [lines[i], lines[i - 1]] + lines[i + 1:]
+    yield lines[:i] + [f"{head}@{int(pos) + 1}:{tail}"] + lines[i + 1:]
+
+
+def _golden_digest(seeds, n_events, shape):
+    """SHA-256 over each word's text and traced data, and over the traced
+    source or exact TangleError message of each of its three mutants."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        word = random_tangle_word(seed, n_events, shape)
+        lines = [_line(ev) for ev in word.events]
+        h.update("\n".join(lines).encode() + b"\0" + _traced(word).encode() + b"\0")
+        for mutant in _mutants(lines, seed):
+            try:
+                out = _traced(parse_tangle("\n".join(mutant), shape))
+            except TangleError as exc:
+                out = f"TangleError: {exc}"
+            h.update(out.encode() + b"\0")
+    return h.hexdigest()
+
+
+# digests of the generator and tracer before the strand tree kept parent
+# pointers; any change in RNG use, tree legality or error text shows here
+GOLDEN = [
+    (0, 60, 12, "long",
+     "9488cd2cccbd41ce16a1f5d319eac1199b867f4fc478fcc58d2fcd6ba76601dc"),
+    (0, 60, 12, "closed",
+     "7f05c0b2e45c5ff20442431b816c76472ccb5448905d45fb2df14d6013722b27"),
+    (0, 60, 40, "long",
+     "ee0eb89deb64fa916ea543fc2df55002fd9808615e6cb86e8fb864f752f554da"),
+    (0, 60, 40, "closed",
+     "8e47423630dc95c346f20da258da1a6e31235c119f84d24e74271271a38c283d"),
+    (5, 6, 100, "long",
+     "ec8c2512d016e588590fdf29982818cb5788bb123bc19fd700039cb616f9c594"),
+]
+
+
+@pytest.mark.parametrize("start,stop,n_events,shape,expected", GOLDEN,
+                         ids=[f"seeds{a}-{b - 1}-n{n}-{shape}"
+                              for a, b, n, shape, _ in GOLDEN])
+def test_golden_words_and_mutants(start, stop, n_events, shape, expected):
+    assert _golden_digest(range(start, stop), n_events, shape) == expected
