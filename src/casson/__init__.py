@@ -18,9 +18,8 @@ from .diagram import (Chord, DiagramError, DisagreementError, GaussDiagram,
 from .invariants import (InvariantReport, arf, check_bound, crossing_bound,
                          report, v2_gauss, v2_sym)
 from .moves import MoveEngine, MoveSite, apply, random_realizable
-from .pairing import (PATTERNS_BY_NAME, XBWD, XDOWN, XFWD, XUP, X_ALL,
-                      ArrowPattern, PatternCombination, bracket,
-                      unsigned_match_count)
+from .pairing import (XBWD, XDOWN, XFWD, XUP, X_ALL, ArrowPattern,
+                      PatternCombination, bracket, unsigned_match_count)
 from .plane import (GenericityError, PlaneCurve, PolyKnot, arnold_I,
                     decomposition_identity, polyknot_from_braid, project,
                     v2_morse, v2_morse_closed)
@@ -36,7 +35,7 @@ __all__ = [
     "InvariantReport", "arf", "check_bound", "crossing_bound", "report",
     "v2_gauss", "v2_sym",
     "MoveEngine", "MoveSite", "apply", "random_realizable",
-    "PATTERNS_BY_NAME", "XBWD", "XDOWN", "XFWD", "XUP", "X_ALL",
+    "XBWD", "XDOWN", "XFWD", "XUP", "X_ALL",
     "ArrowPattern", "PatternCombination", "bracket", "unsigned_match_count",
     "GenericityError", "PlaneCurve", "PolyKnot", "arnold_I",
     "decomposition_identity", "polyknot_from_braid", "project",

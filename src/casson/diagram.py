@@ -81,13 +81,11 @@ class GaussDiagram:
     derived data such as `index_view` is computed once and cached.
     """
 
-    def __init__(self, chords: Iterable[Chord], shape: Literal["closed", "long"] = "closed",
-                 provenance: str = ""):
+    def __init__(self, chords: Iterable[Chord], shape: Literal["closed", "long"] = "closed"):
         self.chords = tuple(chords)
         if shape not in ("closed", "long"):
             raise DiagramError(f"shape must be 'closed' or 'long', got {shape!r}")
         self.shape = shape
-        self.provenance = provenance
         positions = [p for c in self.chords for p in (c.tail, c.head)]
         if set(positions) != set(range(len(positions))):
             raise DiagramError(f"endpoint positions are not exactly "
@@ -132,8 +130,7 @@ class GaussDiagram:
 
     @staticmethod
     def from_endpoint_order(order: Iterable[tuple[int, str]], signs: dict[int, int],
-                            shape: Literal["closed", "long"] = "closed",
-                            provenance: str = "") -> "GaussDiagram":
+                            shape: Literal["closed", "long"] = "closed") -> "GaussDiagram":
         """Build a diagram from endpoint tokens (chord id, 'T'|'H') in circle order.
 
         The i-th token is the endpoint at position i.
@@ -150,7 +147,7 @@ class GaussDiagram:
             chords.append(Chord(cid, pos[(cid, "T")], pos[(cid, "H")], sign))
         if len(pos) != 2 * len(chords):
             raise DiagramError("endpoint tokens do not match the chord set")
-        return GaussDiagram(chords, shape=shape, provenance=provenance)
+        return GaussDiagram(chords, shape=shape)
 
     def serialize(self) -> str:
         """Canonical Gauss code, labels renumbered by first appearance.
@@ -169,8 +166,7 @@ class GaussDiagram:
 
     def mirror(self) -> "GaussDiagram":
         """Diagram of the mirror knot: every chord reversed, signs negated."""
-        return GaussDiagram([c.reversed() for c in self.chords], shape=self.shape,
-                            provenance=f"mirror({self.provenance})")
+        return GaussDiagram([c.reversed() for c in self.chords], shape=self.shape)
 
     def with_base_point_moved(self, steps: int = 1) -> "GaussDiagram":
         """Move the base point forward past `steps` endpoints."""
@@ -178,8 +174,7 @@ class GaussDiagram:
         k = steps % max(len(order), 1) if order else 0
         order = order[k:] + order[:k]
         return GaussDiagram.from_endpoint_order(
-            order, {c.id: c.sign for c in self.chords}, shape=self.shape,
-            provenance=self.provenance)
+            order, {c.id: c.sign for c in self.chords}, shape=self.shape)
 
     def __repr__(self):
         return f"GaussDiagram({self.serialize()!r}, shape={self.shape!r})"
@@ -218,7 +213,7 @@ def parse_gauss_code(text: str, shape: Literal["closed", "long"] = "closed") -> 
         if rec["O"] != rec["U"]:
             raise DiagramError(f"label {label}: O and U signs disagree")
         signs[label] = rec["O"]
-    return GaussDiagram.from_endpoint_order(order, signs, shape=shape, provenance=text)
+    return GaussDiagram.from_endpoint_order(order, signs, shape=shape)
 
 
 _PD_TUPLE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
@@ -237,7 +232,7 @@ def parse_pd_code(text: str) -> GaussDiagram:
     if leftover:
         raise DiagramError(f"unparsed PD code fragment {leftover!r}")
     if not tuples:
-        return GaussDiagram([], provenance=text)
+        return GaussDiagram([])
     n = len(tuples)
     nedges = 2 * n
     edge_use: dict[int, int] = {}
@@ -286,7 +281,7 @@ def parse_pd_code(text: str) -> GaussDiagram:
         e = next_edge[e]
     if e != 1 or len(order) != nedges:
         raise DiagramError("PD code is not a single knot component")
-    return GaussDiagram.from_endpoint_order(order, signs, provenance=text)
+    return GaussDiagram.from_endpoint_order(order, signs)
 
 
 _BRAID_TOKEN = re.compile(r"(-?)s?([1-9][0-9]*)$")
@@ -350,9 +345,7 @@ def from_braid_word(word: str | list[int], strands: int | None = None) -> GaussD
                 order.append((ci, "T" if over else "H"))
                 pos = i
     signs = {ci: (1 if a > 0 else -1) for ci, a in enumerate(letters, start=1)}
-    prov = word if isinstance(word, str) else " ".join(
-        ("s" if a > 0 else "-s") + str(abs(a)) for a in letters)
-    return GaussDiagram.from_endpoint_order(order, signs, shape="long", provenance=prov)
+    return GaussDiagram.from_endpoint_order(order, signs, shape="long")
 
 
 def torus_knot_2(n: int) -> GaussDiagram:

@@ -57,8 +57,7 @@ def _fresh_ids(diagram: GaussDiagram, k: int) -> list[int]:
 
 
 def _rebuild(diagram: GaussDiagram, order, signs) -> GaussDiagram:
-    return GaussDiagram.from_endpoint_order(order, signs, shape=diagram.shape,
-                                            provenance=diagram.provenance)
+    return GaussDiagram.from_endpoint_order(order, signs, shape=diagram.shape)
 
 
 def r1_removal_sites(diagram: GaussDiagram) -> list[MoveSite]:
@@ -275,7 +274,7 @@ def random_realizable(seed: int, n_letters: int, n_moves: int) -> GaussDiagram:
     """Deterministic realizable diagram: random braid closure plus moves."""
     rng = random.Random(seed)
     if n_letters == 0 and n_moves == 0:
-        return GaussDiagram([], shape="long", provenance=f"seed={seed}")
+        return GaussDiagram([], shape="long")
     engine = MoveEngine(word=random_braid_word(rng, n_letters))
     for _ in range(n_moves):
         engine.random_move(rng)

@@ -28,7 +28,6 @@ __all__ = [
     "ArrowPattern",
     "PatternCombination",
     "XUP", "XDOWN", "XFWD", "XBWD", "X_ALL", "XFB",
-    "PATTERNS_BY_NAME",
     "bracket",
     "unsigned_match_count",
     "enumerated_bracket",
@@ -118,14 +117,6 @@ XFWD = ArrowPattern("xfwd", ((1, "T"), (2, "T"), (1, "H"), (2, "H")))
 XBWD = ArrowPattern("xbwd", ((1, "H"), (2, "H"), (1, "T"), (2, "T")))
 X_ALL = PatternCombination(((1, XUP), (1, XDOWN), (1, XFWD), (1, XBWD)))
 XFB = PatternCombination(((1, XFWD), (1, XBWD)))
-
-PATTERNS_BY_NAME = {
-    "xup": XUP,
-    "xdown": XDOWN,
-    "xfwd": XFWD,
-    "xbwd": XBWD,
-    "xall": X_ALL,
-}
 
 
 def _interlock_directions(pattern: ArrowPattern) -> tuple[bool, bool] | None:

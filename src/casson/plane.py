@@ -9,7 +9,9 @@ v2 is then computed from curve geometry: a chord-pattern bracket over the
 projection's Gauss diagram plus signed index sums over double points and
 extrema.  Three independent formulas are evaluated for long curves and one
 for closed curves; they must agree with each other and with the purely
-combinatorial value, which pins every sign convention.
+combinatorial value, which pins every sign convention.  The formulas are the
+core in `invariants` (`v2_long`, `v2_closed`), shared with the associator
+method of `tangle`; this module supplies only the Morse index terms.
 
 All geometric predicates use Fraction arithmetic; there are no tolerances.
 """
@@ -21,7 +23,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import DisagreementError, GaussDiagram
+from .diagram import GaussDiagram
+from .invariants import cross_sign, v2_closed, v2_gauss, v2_long, x_counts
 from .pairing import XUP, XFB, XFWD, XBWD, X_ALL, PatternCombination, bracket
 
 __all__ = [
@@ -303,7 +306,7 @@ class PlaneCurve:
             z2 = pts3[j][2] + u * (pts3[(j + 1) % len(pts3)][2] - pts3[j][2])
             if z1 == z2:
                 raise GenericityError(f"double point at {p} with equal heights")
-            eps = _sign(_cross(r, s))
+            eps = cross_sign(r, s)
             over_first = z1 > z2
             writhe = eps if over_first else -eps
             crossings.append(Crossing(t1=i + t, t2=j + u, point=p,
@@ -335,9 +338,9 @@ class PlaneCurve:
         for vi, d_in, d_out in self._dirs:
             si, so = _sign(d_in[1]), _sign(d_out[1])
             if si > 0 and so < 0:
-                out.append((vi, self.points[vi], "max", _sign(_cross(d_in, d_out))))
+                out.append((vi, self.points[vi], "max", cross_sign(d_in, d_out)))
             elif si < 0 and so > 0:
-                out.append((vi, self.points[vi], "min", _sign(_cross(d_in, d_out))))
+                out.append((vi, self.points[vi], "min", cross_sign(d_in, d_out)))
         return out
 
     def chain_between(self, t1: Fraction, t2: Fraction, point):
@@ -451,14 +454,7 @@ class MorseStats:
 def morse_stats(curve: PlaneCurve) -> MorseStats:
     ext = curve.extrema()
     M = sum(1 for _, _, kind, _ in ext if kind == "max")
-
-    X = Xp = 0
-    for c in curve.crossings:
-        s1, s2 = _sign(c.d1[1]), _sign(c.d2[1])
-        if s1 == s2:
-            X += 1
-            if (s1 > 0 and c.eps > 0) or (s1 < 0 and c.eps < 0):
-                Xp += 1
+    X, Xp = x_counts((c.d1, c.d2) for c in curve.crossings)
 
     if curve.shape == "long":
         I_int = I_out = 0
@@ -504,54 +500,28 @@ def morse_stats(curve: PlaneCurve) -> MorseStats:
     return MorseStats(M=M, X=X, Xplus=None, Xminus=None, E=E, Q=Q)
 
 
-def _exact_common_integer(values, context: str) -> int:
-    first = values[0]
-    if any(v != first for v in values[1:]):
-        raise DisagreementError(f"{context}: formulas disagree: {values}")
-    if first.denominator != 1:
-        raise DisagreementError(f"{context}: non-integral value {first}")
-    return int(first)
-
-
 def v2_morse(curve: PlaneCurve) -> int:
-    """v2 of a long knot from curve geometry, by three formulas at once.
-
-    Each is half the fwd/bwd-pattern bracket plus a geometric correction;
-    divisibility by the denominators is checked before dividing, and the
-    three results must coincide exactly.
-    """
+    """v2 of a long knot from curve geometry, by the three formulas of
+    `invariants.v2_long` at once."""
     if curve.shape != "long":
         raise ValueError("v2_morse needs a long curve; use v2_morse_closed")
     st = morse_stats(curve)
-    g = curve.gauss_diagram()
-    b = bracket(XFB, g)
-    num1 = 2 * b - (st.I_out + st.I_r) + st.X - st.M
-    num3 = 2 * b - (st.I_out + st.I_l) + 2 * st.Xminus
-    if num1 % 4 or num3 % 4:
-        raise DisagreementError(f"v2_morse: divisibility failure: "
-                                f"{num1}/4, {num3}/4")
-    f1 = Fraction(num1, 4)
-    f2 = Fraction(b, 2) + Fraction(st.I_int, 2) + Fraction(st.Xplus, 2)
-    f3 = Fraction(num3, 4)
-    return _exact_common_integer([f1, f2, f3], "v2_morse")
+    b = bracket(XFB, curve.gauss_diagram())
+    k = (-(st.I_out + st.I_r), 2 * st.I_int, -(st.I_out + st.I_l))
+    return v2_long("v2_morse", b, k, st.X, st.Xplus, st.M)
 
 
 def v2_morse_closed(curve: PlaneCurve) -> int:
-    """v2 of a closed knot from curve geometry."""
+    """v2 of a closed knot from curve geometry (`invariants.v2_closed`)."""
     if curve.shape != "closed":
         raise ValueError("v2_morse_closed needs a closed curve")
     st = morse_stats(curve)
-    g = curve.gauss_diagram()
+    b_all = bracket(X_ALL, curve.gauss_diagram())
     # The Q coefficient is 1/12: summing the three long-curve formulas and
     # rewriting the brackets for a closed diagram forces it, and the trefoil
     # fixture confirms it.  (A coefficient of 1/2 fails on any curve where
     # the two halves at some double point have unequal indices.)
-    val = Fraction(bracket(X_ALL, g), 4) - Fraction(st.E, 24) \
-        + Fraction(st.Q, 12) + Fraction(st.X, 8) - Fraction(st.M, 24) \
-        + Fraction(1, 24)
-    if val.denominator != 1:
-        raise DisagreementError(f"v2_morse_closed: non-integral value {val}")
-    return int(val)
+    return v2_closed("v2_morse_closed", b_all, 2 * st.Q - st.E, st.X, st.M)
 
 
 def arnold_I(curve: PlaneCurve, ascending: bool = True) -> int:
@@ -568,7 +538,6 @@ def arnold_I(curve: PlaneCurve, ascending: bool = True) -> int:
 def decomposition_identity(curve: PlaneCurve, diagram: GaussDiagram) -> bool:
     """6*v2 = <2 xup + 2 xfwd + 2 xbwd, G> + I for any resolution G of the
     curve."""
-    from .invariants import v2_gauss
     return 6 * v2_gauss(diagram) == bracket(_X2ALL, diagram) + arnold_I(curve)
 
 

@@ -123,7 +123,7 @@ def descend(diagram: GaussDiagram, check_two_color: bool = True) -> FlipTrace:
         tail[c], head[c], sign[c] = head[c], tail[c], -sign[c]
     final = GaussDiagram([c.reversed() if s != c.sign else c
                           for c, s in zip(diagram.chords, sign)],
-                         shape=diagram.shape, provenance=diagram.provenance)
+                         shape=diagram.shape)
     if not is_descending(final):
         raise NotDescendingRealizable("descent ended on a non-descending diagram")
     return FlipTrace(tuple(flips), final)

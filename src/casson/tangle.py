@@ -11,7 +11,9 @@ permits, which is exactly the combinatorial shadow of the geometric
 
 v2 is then half the fwd/bwd-pattern bracket over the diagram's Gauss
 diagram plus a signed count of associators by their branch permutation,
-evaluated three ways that must agree.
+evaluated three ways that must agree.  The formulas are the core in
+`invariants` (`v2_long`, `v2_closed`), shared with the Morse method of
+`plane`; this module supplies only the associator index terms.
 
 Grammar (one event per line, bottom to top, 1-based positions):
     MIN@i:u|d   cup inserting two strands at position i; the letter is the
@@ -39,9 +41,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .diagram import DisagreementError, GaussDiagram
+from .diagram import GaussDiagram
+from .invariants import cross_sign, v2_closed, v2_long, x_counts
 from .pairing import XFB, X_ALL, bracket
 
 __all__ = [
@@ -326,7 +328,7 @@ def _trace(word: TangleWord):
                                   f"are not bracket siblings")
             a, b = leaves[i], leaves[i + 1]
             d_over, d_under = _cross_dirs(a, b, ev.left_over)
-            writhe = _sign_cross(d_over, d_under)
+            writhe = cross_sign(d_over, d_under)
             if writhe != ev.sign:
                 raise TangleError(f"event {step}: declared sign "
                                   f"{ev.sign:+d} but orientations give "
@@ -369,11 +371,6 @@ def _trace(word: TangleWord):
             raise TangleError("closed word must cap every strand")
         if not word.events:
             raise TangleError("closed word cannot be empty")
-
-
-def _sign_cross(a, b) -> int:
-    v = a[0] * b[1] - a[1] * b[0]
-    return (v > 0) - (v < 0)
 
 
 def gauss_of_tangle(word: TangleWord) -> GaussDiagram:
@@ -424,54 +421,35 @@ def associator_stats(word: TangleWord) -> AssociatorStats:
     for rec in word.source:
         if len(rec) == 2 and rec[0] not in first:
             first[rec[0]] = rec[1]
-    X = Xp = 0
-    for cid, c in word.crossings.items():
-        d_first, d_second = (c.d_over, c.d_under) if first[cid] == "T" \
-            else (c.d_under, c.d_over)
-        s1, s2 = (d_first[1] > 0) - (d_first[1] < 0), \
-            (d_second[1] > 0) - (d_second[1] < 0)
-        if s1 == s2:
-            X += 1
-            eps = _sign_cross(d_first, d_second)
-            if (s1 > 0 and eps > 0) or (s1 < 0 and eps < 0):
-                Xp += 1
+    X, Xp = x_counts((c.d_over, c.d_under) if first[cid] == "T"
+                     else (c.d_under, c.d_over)
+                     for cid, c in word.crossings.items())
     M = sum(1 for ev in word.events if ev.kind == "max")
     return AssociatorStats(N=counts, N_total=sum(counts.values()),
                            X=X, Xplus=Xp, Xminus=X - Xp, M=M)
 
 
 def v2_natangle(word: TangleWord) -> int:
-    """v2 of a long tangle word, by the three associator formulas at once."""
+    """v2 of a long tangle word, by the three formulas of
+    `invariants.v2_long` at once."""
     if word.shape != "long":
         raise ValueError("v2_natangle needs a long word; use v2_natangle_closed")
     st = associator_stats(word)
-    g = gauss_of_tangle(word)
-    b = bracket(XFB, g)
+    b = bracket(XFB, gauss_of_tangle(word))
     n = st.N
-    f1 = Fraction(b, 2) + Fraction(n["1"] + n["(1,3)"], 4) \
-        + Fraction(st.X, 4) - Fraction(st.M, 4)
-    f2 = Fraction(b, 2) + Fraction(n["(2,3)"] + n["(1,3,2)"], 4) \
-        + Fraction(st.Xplus, 2)
-    f3 = Fraction(b, 2) + Fraction(n["(1,2)"] + n["(1,2,3)"], 4) \
-        + Fraction(st.Xminus, 2)
-    if f1 != f2 or f2 != f3:
-        raise DisagreementError(f"v2_natangle: formulas disagree: {f1} {f2} {f3}")
-    if f1.denominator != 1:
-        raise DisagreementError(f"v2_natangle: non-integral value {f1}")
-    return int(f1)
+    k = (n["1"] + n["(1,3)"], n["(2,3)"] + n["(1,3,2)"],
+         n["(1,2)"] + n["(1,2,3)"])
+    return v2_long("v2_natangle", b, k, st.X, st.Xplus, st.M)
 
 
 def v2_natangle_closed(word: TangleWord) -> int:
-    """v2 of a closed tangle word from the total associator count."""
+    """v2 of a closed tangle word from the total associator count
+    (`invariants.v2_closed`)."""
     if word.shape != "closed":
         raise ValueError("v2_natangle_closed needs a closed word")
     st = associator_stats(word)
-    g = gauss_of_tangle(word)
-    val = Fraction(bracket(X_ALL, g), 4) + Fraction(st.N_total, 24) \
-        + Fraction(st.X, 8) - Fraction(st.M, 24) + Fraction(1, 24)
-    if val.denominator != 1:
-        raise DisagreementError(f"v2_natangle_closed: non-integral value {val}")
-    return int(val)
+    b_all = bracket(X_ALL, gauss_of_tangle(word))
+    return v2_closed("v2_natangle_closed", b_all, st.N_total, st.X, st.M)
 
 
 # Long trefoil as a cut-open 2-strand braid closure: cup for the return
@@ -504,7 +482,7 @@ def _assoc_sites(tree: _StrandTree):
 
 
 def _cross_event(pos, a, b, left_over):
-    sign = _sign_cross(*_cross_dirs(a, b, left_over))
+    sign = cross_sign(*_cross_dirs(a, b, left_over))
     return Event("cross", pos, sign=sign, left_over=left_over)
 
 

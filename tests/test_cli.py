@@ -5,6 +5,7 @@ import pytest
 
 from casson.cli import EXIT_DISAGREE, EXIT_PARSE, EXIT_VALIDATION, ingest_csv, main
 from casson.plane import polyknot_from_braid
+from casson.tangle import parse_tangle, v2_natangle_closed
 
 
 def run(capsys, *argv):
@@ -233,3 +234,23 @@ def test_formula_disagreement_exit_code(monkeypatch, tmp_path, capsys):
     table.write_text(f"name,kind,payload\ntref,polyknot,{path}\n")
     code, out = run(capsys, "batch", str(table), "--method", "morse")
     assert code == EXIT_DISAGREE and "morse" in out["records"][0]["error"]
+
+
+def test_closed_tangle_word_names_the_long_shape(capsys):
+    # a closed unknot: one cup, one cap; the library reads it as closed
+    text = "MIN@1:u\nMAX@1:u\n"
+    assert v2_natangle_closed(parse_tangle(text, "closed")) == 0
+    assert main(["v2", "--tangle", text, "--method", "natangle"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "long" in err and len(err.strip().splitlines()) == 1
+
+
+def test_bad_casson_seed(monkeypatch, capsys):
+    monkeypatch.setenv("CASSON_SEED", "abc")
+    assert main(["gen"]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and "CASSON_SEED" in err
+    assert len(err.strip().splitlines()) == 1
+    # an explicit seed does not need the default
+    code, out = run(capsys, "gen", "--seed", "3")
+    assert code == 0 and out["seed"] == 3
