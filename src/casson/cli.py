@@ -200,7 +200,16 @@ def _cmd_bound(args) -> int:
     return 0 if ok else EXIT_DISAGREE
 
 
+def _check_count(flag: str, value: int, least: int = 0) -> None:
+    if value < least:
+        kind = "positive" if least else "non-negative"
+        raise CliError(f"{flag} must be a {kind} integer, got {value}",
+                       EXIT_VALIDATION)
+
+
 def _cmd_gen(args) -> int:
+    _check_count("--letters", args.letters)
+    _check_count("--moves", args.moves)
     seed = args.seed if args.seed is not None else _default_seed()
     diagram = random_realizable(seed, args.letters, args.moves)
     _emit({"command": "gen", "seed": seed,
@@ -209,6 +218,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_moves_check(args) -> int:
+    _check_count("--letters", args.letters)
+    _check_count("--moves", args.moves)
     seed = args.seed if args.seed is not None else _default_seed()
     rng = random.Random(seed)
     word = random_braid_word(rng, args.letters)
@@ -234,9 +245,7 @@ def _cmd_integrate(args) -> int:
     from .mcint import v2_mc
 
     seed = args.seed if args.seed is not None else _default_seed()
-    if args.samples < 1:
-        raise CliError(f"--samples must be a positive integer, got "
-                       f"{args.samples}", EXIT_VALIDATION)
+    _check_count("--samples", args.samples, least=1)
     try:
         with open(args.knot) as fh:
             knot = PolyKnot.from_json(fh.read())

@@ -16,6 +16,11 @@ which integrates to 1 over the unit sphere:
     line parameter; the half-line parameter domains are mapped to (0,1) by
     t = -u/(1-u) and t = 1/(1-u).
 
+The two estimators sample their curves through one parametrization of a
+polygon, closed or long, one equal parameter slot per edge (`_Param`).
+lk_combinatorial, the exact linking number that linking_mc is checked
+against, counts crossings with the bounding-box sweep of `plane.project`.
+
 Both estimators are deterministic for a fixed (seed, samples) pair: samples
 are drawn in fixed-size chunks from counter-based generators keyed by
 (seed, stream, chunk index) and reduced in chunk order, so the result is
@@ -33,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .plane import GenericityError, PolyKnot, segment_crossing
+from .plane import GenericityError, PolyKnot, _box_pairs, _crossing
 
 __all__ = ["McEstimate", "linking_mc", "v2_mc", "v2_mc_series",
            "lk_combinatorial"]
@@ -97,23 +102,62 @@ def _omega_hat(v: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# the polygon parametrization over (0,1)
+
+_DOWN = np.array([0.0, -1.0, 0.0])
+_UP = np.array([0.0, 1.0, 0.0])
+
+
+class _Param:
+    """Parametrization t in (0,1) of a closed or long polygonal curve, one
+    equal parameter slot per edge.
+
+    The integrands are pulled-back differential forms, so any
+    orientation-preserving parametrization gives the same integrals.  A
+    long knot has one more slot at each end for its straight tail, with a
+    projective stretch t -> length/(1 - t)-style so the slot covers the
+    whole infinite ray.  Every sample is first evaluated as a point on a
+    straight edge of a padded (start, edge) table; then only the samples in
+    the two tail slots are overwritten.
+    """
+
+    def __init__(self, vertices, long: bool):
+        v = np.asarray([[float(c) for c in p] for p in vertices], dtype=float)
+        self.long = long
+        diameter = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
+        self.scale = max(diameter, 1.0)
+        if long:
+            pad = np.zeros((1, 3))
+            self.start = np.concatenate((v[:1], v[:-1], v[-1:]))
+            self.edge = np.concatenate((pad, v[1:] - v[:-1], pad))
+        else:
+            self.start = v
+            self.edge = np.roll(v, -1, axis=0) - v
+
+    def eval(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position, d position / dt) arrays; t strictly inside (0,1)."""
+        n = len(self.start)
+        x = t * n
+        seg = np.minimum(x.astype(int), n - 1)
+        s = x - seg
+        edge = self.edge[seg]
+        pos = self.start[seg] + s[..., None] * edge
+        deriv = edge * n
+        if self.long:
+            L = self.scale
+            lo = seg == 0
+            s0 = np.clip(s[lo], 1e-12, 1.0)
+            pos[lo] = self.start[0] + _DOWN * (L * (1.0 - s0) / s0)[:, None]
+            deriv[lo] = -_DOWN * (L / s0 ** 2)[:, None] * n
+            hi = seg == n - 1
+            s1 = np.clip(s[hi], 0.0, 1.0 - 1e-12)
+            pos[hi] = self.start[-1] + _UP * (L * s1 / (1.0 - s1))[:, None]
+            deriv[hi] = _UP * (L / (1.0 - s1) ** 2)[:, None] * n
+        return pos, deriv
+
+
+# ---------------------------------------------------------------------------
 # closed polygons and the linking integral
-
-def _poly_arrays(vertices) -> tuple[np.ndarray, np.ndarray]:
-    v = np.asarray([[float(c) for c in p] for p in vertices], dtype=float)
-    edges = np.roll(v, -1, axis=0) - v
-    return v, edges
-
-
-def _sample_closed(v: np.ndarray, edges: np.ndarray, t: np.ndarray):
-    n = len(v)
-    x = t * n
-    seg = np.minimum(x.astype(int), n - 1)
-    frac = x - seg
-    pos = v[seg] + frac[:, None] * edges[seg]
-    deriv = edges[seg] * n
-    return pos, deriv
-
 
 def linking_mc(loop1, loop2, samples: int, seed: int = 0) -> McEstimate:
     """Gauss linking integral of two disjoint closed polygons.
@@ -122,17 +166,17 @@ def linking_mc(loop1, loop2, samples: int, seed: int = 0) -> McEstimate:
     converges to the linking number; its sign convention matches the signed
     crossing count of lk_combinatorial.
     """
-    v1, e1 = _poly_arrays(_vertices_of(loop1))
-    v2_, e2 = _poly_arrays(_vertices_of(loop2))
-    scale = max(_diameter(v1), _diameter(v2_), 1.0)
+    par1 = _Param(_vertices_of(loop1), long=False)
+    par2 = _Param(_vertices_of(loop2), long=False)
+    scale = max(par1.scale, par2.scale)
     acc = _Accumulator()
     done = 0
     chunk = 0
     while done < samples:
         m = min(CHUNK, samples - done)
         u = _rng(seed, 0, chunk).random((m, 2))
-        p1, d1 = _sample_closed(v1, e1, u[:, 0])
-        p2, d2 = _sample_closed(v2_, e2, u[:, 1])
+        p1, d1 = par1.eval(u[:, 0])
+        p2, d2 = par2.eval(u[:, 1])
         vals, valid = _omega_hat(p1 - p2, d1, d2, scale)
         acc.add(vals, valid)
         done += m
@@ -146,10 +190,6 @@ def _vertices_of(loop):
     return loop
 
 
-def _diameter(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
-
-
 # Projection directions (0, -s, 1) tried in turn by lk_combinatorial.
 _LK_SHEARS = (Fraction(0), Fraction(1, 127), Fraction(1, 61))
 
@@ -159,11 +199,12 @@ def lk_combinatorial(loop1, loop2) -> int:
     over loop2, read off the xy-projection, or off the projection along
     (0, -s, 1) for a small rational s when that one is not generic.
 
-    Exact: coordinates become Fractions and the crossings come from the
-    plane module's segment test.
+    Exact: coordinates become Fractions, a vertex repeated right after
+    itself is dropped (its zero-length edge would fail the segment test in
+    every projection), and the crossings come from the bounding-box sweep
+    and the per-pair crossing step of `plane.project`.
     """
-    a = [tuple(Fraction(c) for c in p) for p in _vertices_of(loop1)]
-    b = [tuple(Fraction(c) for c in p) for p in _vertices_of(loop2)]
+    a, b = _distinct(loop1), _distinct(loop2)
     for shear in _LK_SHEARS:
         try:
             return _lk_projected(a, b, shear)
@@ -172,83 +213,33 @@ def lk_combinatorial(loop1, loop2) -> int:
     raise ValueError("could not find a generic projection")
 
 
+def _distinct(loop):
+    """The loop's vertices as Fraction triples, without consecutive repeats
+    (the last vertex and the first are consecutive too)."""
+    pts = [tuple(Fraction(c) for c in p) for p in _vertices_of(loop)]
+    return [p for k, p in enumerate(pts) if p != pts[k - 1]]
+
+
 def _lk_projected(a, b, shear: Fraction) -> int:
     """Signed over-crossings of loop a with loop b in the projection
     (x, y + shear * z), where z still orders the points over each image
     point; GenericityError when that projection is not generic.  (A shear
     by x would be a linear map of the xy-projection, which keeps every
-    incidence, so it could not make a projection generic.)"""
+    incidence, so it could not make a projection generic.)  The sweep runs
+    over both loops' edges at once and keeps the pairs with one edge from
+    each loop."""
     def edges(loop):
-        pts = [((x, y + shear * z), z) for x, y, z in loop]
+        pts = [(x, y + shear * z, z) for x, y, z in loop]
         return list(zip(pts, pts[1:] + pts[:1]))
 
+    joined = edges(a) + edges(b)
     total = 0
-    for i, ((p, zp), (p2, zp2)) in enumerate(edges(a)):
-        for j, ((q, zq), (q2, zq2)) in enumerate(edges(b)):
-            hit = segment_crossing(p, p2, q, q2, i, j)
-            if hit is None:
-                continue
-            t, u = hit
-            z1 = zp + t * (zp2 - zp)
-            z2 = zq + u * (zq2 - zq)
-            if z1 == z2:
-                raise GenericityError("double point with equal heights")
-            if z1 > z2:
-                r = (p2[0] - p[0], p2[1] - p[1])
-                s = (q2[0] - q[0], q2[1] - q[1])
-                total += 1 if r[0] * s[1] > r[1] * s[0] else -1
+    for i, j in _box_pairs(joined):
+        if i < len(a) <= j:
+            c = _crossing(joined[i], joined[j], i, j, None)
+            if c is not None and c.over_first:
+                total += c.eps
     return total
-
-
-# ---------------------------------------------------------------------------
-# long-knot parametrization over (0,1), tails included
-
-class _LongParam:
-    """Parametrization t in (0,1) of a long polygonal knot, the two straight
-    tails compactified onto the first and last parameter slots.
-
-    The integrands are pulled-back differential forms, so any
-    orientation-preserving parametrization gives the same integrals; this
-    one simply allocates one equal parameter slot per edge, plus one per
-    tail with a projective stretch t -> length/(1 - t)-style so the slot
-    covers the whole infinite ray.
-    """
-
-    def __init__(self, knot: PolyKnot):
-        if knot.shape != "long":
-            raise ValueError("v2_mc needs a long knot")
-        self.v = np.asarray([[float(c) for c in p] for p in knot.vertices])
-        self.scale = max(_diameter(self.v), 1.0)
-        self.nseg = len(self.v) - 1 + 2
-        self.d_lo = np.array([0.0, -1.0, 0.0])
-        self.d_hi = np.array([0.0, 1.0, 0.0])
-
-    def eval(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(position, d position / dt) arrays; t strictly inside (0,1)."""
-        n = self.nseg
-        x = t * n
-        seg = np.minimum(x.astype(int), n - 1)
-        s = x - seg
-        pos = np.empty(t.shape + (3,))
-        deriv = np.empty_like(pos)
-        L = self.scale
-
-        lo = seg == 0
-        s0 = np.clip(s[lo], 1e-12, 1.0)
-        pos[lo] = self.v[0] + self.d_lo * (L * (1.0 - s0) / s0)[:, None]
-        deriv[lo] = -self.d_lo * (L / s0 ** 2)[:, None] * n
-
-        hi = seg == n - 1
-        s1 = np.clip(s[hi], 0.0, 1.0 - 1e-12)
-        pos[hi] = self.v[-1] + self.d_hi * (L * s1 / (1.0 - s1))[:, None]
-        deriv[hi] = self.d_hi * (L / (1.0 - s1) ** 2)[:, None] * n
-
-        mid = ~(lo | hi)
-        e = seg[mid] - 1
-        edge = self.v[e + 1] - self.v[e]
-        pos[mid] = self.v[e] + s[mid][:, None] * edge
-        deriv[mid] = edge * n
-        return pos, deriv
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +251,7 @@ class _LongParam:
 # configuration space, the latter pinned by calibration against the
 # combinatorial v2 of the trefoil and figure-eight fixtures.
 
-def _integrand_x(par: _LongParam, u4: np.ndarray):
+def _integrand_x(par: _Param, u4: np.ndarray):
     """Simplex integral: omega(x1-x3) ^ omega(x4-x2) over t1<t2<t3<t4."""
     t = np.sort(u4, axis=1)
     pos, der = par.eval(t)
@@ -315,7 +306,9 @@ _STRATUM_SIGNS = (1.0, -1.0, -1.0, 1.0)
 
 def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
                checkpoints: list[int]) -> list[McEstimate]:
-    par = _LongParam(knot)
+    if knot.shape != "long":
+        raise ValueError("v2_mc needs a long knot")
+    par = _Param(knot.vertices, long=True)
     accs = [_Accumulator() for _ in range(4)]
     out = []
     cp = sorted(set(checkpoints))

@@ -5,13 +5,20 @@ closed or long (a long knot runs along the vertical axis outside a bounding
 box, oriented upward at both ends).  Projecting to the xy-plane gives a
 PlaneCurve whose double points carry over/under data from the z coordinate.
 
+The double points come from one exact sweep: edges whose closed bounding
+boxes meet are paired, and each pair goes through one crossing step (the
+segment test, the crossing point, the two heights).  `mcint.lk_combinatorial`
+runs the same sweep and step over the edges of two loops.
+
 v2 is then computed from curve geometry: a chord-pattern bracket over the
 projection's Gauss diagram plus signed index sums over double points and
-extrema.  Three independent formulas are evaluated for long curves and one
-for closed curves; they must agree with each other and with the purely
-combinatorial value, which pins every sign convention.  The formulas are the
-core in `invariants` (`v2_long`, `v2_closed`), shared with the associator
-method of `tangle`; this module supplies only the Morse index terms.
+extrema.  Each index is a difference of prefix sums of per-edge counts of
+the rightward ray from the point, one O(E) pass per point.  Three
+independent formulas are evaluated for long curves and one for closed
+curves; they must agree with each other and with the purely combinatorial
+value, which pins every sign convention.  The formulas are the core in
+`invariants` (`v2_long`, `v2_closed`), shared with the associator method of
+`tangle`; this module supplies only the Morse index terms.
 
 All geometric predicates use Fraction arithmetic; there are no tolerances.
 """
@@ -35,7 +42,6 @@ __all__ = [
     "MorseStats",
     "project",
     "segment_crossing",
-    "point_index",
     "morse_stats",
     "v2_morse",
     "v2_morse_closed",
@@ -110,8 +116,17 @@ def _collinear_overlap(a, b, c, d) -> bool:
 
 def _box_pairs(edges) -> list[tuple[int, int]]:
     """Pairs (i, j), i < j, of positions in `edges`, a list of (start, end)
-    segments, whose closed bounding boxes meet, in lexicographic order (see
-    PlaneCurve._find_crossings)."""
+    segments, whose closed bounding boxes meet, in lexicographic order.
+
+    The edges are sorted by lowest y and swept upward, keeping an active
+    list of the edges whose highest y reaches the current edge's lowest, and
+    a pair is kept when the closed x-intervals of its two boxes meet as
+    well.  Segments of positive length with disjoint closed boxes share no
+    point, so no skipped pair could cross, touch, overlap or share an
+    endpoint; taken in the order of an all-pairs scan, the kept pairs raise
+    the same first GenericityError.  The boxes are compared as exactly as
+    the segment test compares its points.
+    """
     boxes = [(min(a[1], b[1]), max(a[1], b[1]), min(a[0], b[0]),
               max(a[0], b[0])) for a, b in edges]
     active, pairs = [], []
@@ -124,6 +139,37 @@ def _box_pairs(edges) -> list[tuple[int, int]]:
         active.append(k)
     pairs.sort()
     return pairs
+
+
+def _crossing(e, f, i, j, seen):
+    """The Crossing of edges e and f, named i and j, or None.
+
+    An edge is a (start, end) pair of points (x, y, height).  Raises
+    GenericityError when the plane segments touch without crossing, when
+    the double point is already in the set `seen` (a triple point; None
+    skips that check) or when the two heights there are equal.
+    """
+    (a, b), (c, d) = e, f
+    hit = segment_crossing(a, b, c, d, i, j)
+    if hit is None:
+        return None
+    t, u = hit
+    r = (b[0] - a[0], b[1] - a[1])
+    s = (d[0] - c[0], d[1] - c[1])
+    p = (a[0] + t * r[0], a[1] + t * r[1])
+    if seen is not None:
+        if p in seen:
+            raise GenericityError(f"triple point at {p}")
+        seen.add(p)
+    z1 = a[2] + t * (b[2] - a[2])
+    z2 = c[2] + u * (d[2] - c[2])
+    if z1 == z2:
+        raise GenericityError(f"double point at {p} with equal heights")
+    eps = cross_sign(r, s)
+    over_first = z1 > z2
+    return Crossing(t1=i + t, t2=j + u, point=p, d1=r, d2=s,
+                    over_first=over_first, eps=eps,
+                    writhe=eps if over_first else -eps)
 
 
 @dataclass(frozen=True)
@@ -231,8 +277,9 @@ class PlaneCurve:
     # -- construction helpers -------------------------------------------------
 
     def _edges(self):
-        """(start, end) of each edge, indexed by edge number."""
-        pts = self.points
+        """(start, end) of each edge, indexed by edge number, as points
+        (x, y, z): the plane point and its height."""
+        pts = self.points3
         if self.shape == "closed":
             return list(zip(pts, pts[1:] + pts[:1]))
         return list(zip(pts, pts[1:]))
@@ -248,8 +295,6 @@ class PlaneCurve:
         for a, b in self._edges():
             if a[1] == b[1]:
                 raise GenericityError(f"horizontal edge at y={a[1]}")
-            if a == b:
-                raise GenericityError("zero-length edge")
         for vi, d_in, d_out in self._dirs:
             if _sign(d_in[1]) != _sign(d_out[1]) and _cross(d_in, d_out) == 0:
                 raise GenericityError(f"degenerate extremum at vertex {vi}")
@@ -266,52 +311,22 @@ class PlaneCurve:
         return out
 
     def _find_crossings(self):
-        """Transversal double points, sorted by first passage parameter.
-
-        Only edge pairs whose closed bounding boxes meet reach the segment
-        test: the edges are sorted by lowest y and swept upward, keeping an
-        active list of the edges whose highest y reaches the current edge's
-        lowest, and a pair is a candidate when the closed x-intervals of
-        its two boxes meet as well.  Segments with disjoint closed boxes
-        share no point, so no skipped pair could cross, touch, overlap or
-        share an endpoint; the candidates are tested in the lexicographic
-        order of an all-pairs scan, so an input with several faults raises
-        the same first GenericityError.  The boxes are compared as
-        Fractions, as exactly as the segment test itself.
-        """
+        """Transversal double points, sorted by first passage parameter:
+        the crossing step on each pair of non-adjacent edges from the
+        bounding-box sweep `_box_pairs`."""
         edges = self._edges()
         n = self.n_edges
-        pts3 = self.points3
         crossings = []
-        pts_seen = set()
+        seen = set()
         for i, j in _box_pairs(edges):
             # adjacent edges meet at their shared vertex and, unless
             # collinear, nowhere else; a collinear fold-back is rejected as
             # a degenerate extremum, so such a pair never crosses
             if j - i == 1 or (self.shape == "closed" and j - i == n - 1):
                 continue
-            a, b = edges[i]
-            c, d = edges[j]
-            hit = segment_crossing(a, b, c, d, i, j)
-            if hit is None:
-                continue
-            t, u = hit
-            r = (b[0] - a[0], b[1] - a[1])
-            s = (d[0] - c[0], d[1] - c[1])
-            p = (a[0] + t * r[0], a[1] + t * r[1])
-            if p in pts_seen:
-                raise GenericityError(f"triple point at {p}")
-            pts_seen.add(p)
-            z1 = pts3[i][2] + t * (pts3[(i + 1) % len(pts3)][2] - pts3[i][2])
-            z2 = pts3[j][2] + u * (pts3[(j + 1) % len(pts3)][2] - pts3[j][2])
-            if z1 == z2:
-                raise GenericityError(f"double point at {p} with equal heights")
-            eps = cross_sign(r, s)
-            over_first = z1 > z2
-            writhe = eps if over_first else -eps
-            crossings.append(Crossing(t1=i + t, t2=j + u, point=p,
-                                      d1=r, d2=s, over_first=over_first,
-                                      eps=eps, writhe=writhe))
+            c = _crossing(edges[i], edges[j], i, j, seen)
+            if c is not None:
+                crossings.append(c)
         crossings.sort(key=lambda c: c.t1)
         return crossings
 
@@ -342,31 +357,6 @@ class PlaneCurve:
             elif si < 0 and so > 0:
                 out.append((vi, self.points[vi], "min", cross_sign(d_in, d_out)))
         return out
-
-    def chain_between(self, t1: Fraction, t2: Fraction, point):
-        """Polyline traced from parameter t1 to t2 (t1 < t2), both ends at
-        the given plane point.  Crossing parameters are never integers, so
-        the interior vertices are exactly those with integer parameter in
-        (t1, t2)."""
-        pts = [point]
-        for i in range(int(t1) + 1, int(t2) + 1):
-            pts.append(self.points[i % len(self.points)])
-        pts.append(point)
-        return pts
-
-    def chain_outside(self, t1: Fraction, t2: Fraction, point):
-        """The complement: for closed curves one polyline t2 -> t1 wrapping
-        through parameter 0; for long curves the two end pieces."""
-        m = self.n_edges
-        if self.shape == "closed":
-            pts = [point]
-            for i in range(int(t2) + 1, int(t1) + m + 1):
-                pts.append(self.points[i % len(self.points)])
-            pts.append(point)
-            return [pts]
-        head = [self.points[i] for i in range(0, int(t1) + 1)] + [point]
-        tail = [point] + [self.points[i] for i in range(int(t2) + 1, len(self.points))]
-        return [head, tail]
 
     def gauss_diagram(self, resolution: str = "height") -> GaussDiagram:
         """Gauss diagram of the resolved projection (tail at the overpass).
@@ -412,24 +402,24 @@ def project(knot: PolyKnot) -> PlaneCurve:
     return PlaneCurve(knot.vertices, knot.shape)
 
 
-def point_index(p, chain) -> int:
-    """Signed crossings of the open rightward ray from p with a polyline.
+def _ray_prefix(edges, p) -> list[int]:
+    """pre[k]: signed crossings of the open rightward ray from p with the
+    edges before edge k, a list of E + 1 ints.
 
     An edge counts iff its y-range strictly straddles p's level; +1 when the
-    edge goes up, -1 when down.  Edges that only touch the level at an
-    endpoint never count, which realizes the open-ray convention exactly.
+    edge goes up, -1 when down.  An edge that ends at p never counts, and an
+    edge through p meets the ray only at p itself, so the index of any arc
+    from p back to p is a difference of two entries.
     """
-    total = 0
-    for a, b in zip(chain, chain[1:]):
-        if min(a[1], b[1]) < p[1] < max(a[1], b[1]):
-            x_at = a[0] + (p[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0])
-            if x_at > p[0]:
-                total += 1 if b[1] > a[1] else -1
-    return total
-
-
-def _closed_chain(points):
-    return list(points) + [points[0]]
+    px, py = p
+    pre, n = [0], 0
+    for a, b in edges:
+        ay, by = a[1], b[1]
+        if (ay < py < by or by < py < ay) and \
+                a[0] + (py - ay) / (by - ay) * (b[0] - a[0]) > px:
+            n += 1 if by > ay else -1
+        pre.append(n)
+    return pre
 
 
 @dataclass(frozen=True)
@@ -456,20 +446,23 @@ def morse_stats(curve: PlaneCurve) -> MorseStats:
     M = sum(1 for _, _, kind, _ in ext if kind == "max")
     X, Xp = x_counts((c.d1, c.d2) for c in curve.crossings)
 
+    # each double point splits the curve into the arc between its two
+    # passages (edges int(t1) + 1 .. int(t2) - 1 in full) and the rest
+    edges = curve._edges()
+    arcs = []
+    for c in curve.crossings:
+        pre = _ray_prefix(edges, c.point)
+        inner = pre[int(c.t2)] - pre[int(c.t1) + 1]
+        arcs.append((c, inner, pre[-1] - inner))
+
     if curve.shape == "long":
-        I_int = I_out = 0
-        for c in curve.crossings:
-            mid = curve.chain_between(c.t1, c.t2, c.point)
-            i_int = point_index(c.point, mid)
-            i_out = sum(point_index(c.point, ch)
-                        for ch in curve.chain_outside(c.t1, c.t2, c.point))
-            I_int += c.eps * i_int
-            I_out += c.eps * i_out
+        I_int = sum(c.eps * inner for c, inner, _ in arcs)
+        I_out = sum(c.eps * outer for c, _, outer in arcs)
         I_r = I_l = 0
         for vi, p, kind, turn in ext:
-            halves = ([curve.points[i] for i in range(vi + 1)],
-                      [curve.points[i] for i in range(vi, len(curve.points))])
-            idx_in, idx_out = (point_index(p, h) for h in halves)
+            # the halves before and after vertex vi, edges 0..vi-1 and vi..
+            pre = _ray_prefix(edges, p)
+            idx_in, idx_out = pre[vi], pre[-1] - pre[vi]
             # which half approaches p from the right: compare the branch
             # x-offsets at the test level just inside the extremum
             d_in = (p[0] - curve.points[vi - 1][0], p[1] - curve.points[vi - 1][1])
@@ -484,18 +477,13 @@ def morse_stats(curve: PlaneCurve) -> MorseStats:
         return MorseStats(M=M, X=X, Xplus=Xp, Xminus=X - Xp,
                           I_int=I_int, I_out=I_out, I_r=I_r, I_l=I_l)
 
-    full = _closed_chain(curve.points)
-    E = sum(turn * point_index(p, full) for _, p, _, turn in ext)
+    E = sum(turn * _ray_prefix(edges, p)[-1] for _, p, _, turn in ext)
     Q = 0
-    for c in curve.crossings:
-        arc1 = curve.chain_between(c.t1, c.t2, c.point)
-        (arc2,) = curve.chain_outside(c.t1, c.t2, c.point)
-        i1 = point_index(c.point, arc1)
-        i2 = point_index(c.point, arc2)
-        # arc1 arrives along d2 and leaves along d1; counterclockwise turn
-        # means positive cross product of (arrival, departure)
-        arc1_ccw = _cross(c.d2, c.d1) > 0
-        q_plus, q_minus = (i2, i1) if arc1_ccw else (i1, i2)
+    for c, inner, outer in arcs:
+        # the inner arc arrives along d2 and leaves along d1; counterclockwise
+        # turn means positive cross product of (arrival, departure)
+        inner_ccw = _cross(c.d2, c.d1) > 0
+        q_plus, q_minus = (outer, inner) if inner_ccw else (inner, outer)
         Q += q_plus - q_minus
     return MorseStats(M=M, X=X, Xplus=None, Xminus=None, E=E, Q=Q)
 

@@ -254,3 +254,15 @@ def test_bad_casson_seed(monkeypatch, capsys):
     # an explicit seed does not need the default
     code, out = run(capsys, "gen", "--seed", "3")
     assert code == 0 and out["seed"] == 3
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--letters", "-3"], "--letters"),
+    (["gen", "--moves", "-1"], "--moves"),
+    (["moves-check", "--letters", "-2"], "--letters"),
+    (["moves-check", "--moves", "-4"], "--moves"),
+])
+def test_negative_counts(argv, flag, capsys):
+    assert main(argv + ["--seed", "1"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err and len(err.strip().splitlines()) == 1

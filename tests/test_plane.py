@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casson.diagram import from_braid_word
-from casson.invariants import v2_gauss
+from casson.invariants import v2_gauss, x_counts
 from casson.moves import random_braid_word
 from casson.plane import (Crossing, GenericityError, PlaneCurve, PolyKnot,
                           arnold_I, convex_circle_curve, decomposition_identity,
@@ -266,6 +266,9 @@ def test_sweep_matches_all_pairs_on_braid_polyknots():
     ([(1, 1, 1), (2, 2, 1), (1, 2, 1), (3, 0, 0), (1, 2, 0)], "closed",
      "triple point"),
     ([(0, 1, 0), (2, 1, 0), (2, 0, 0), (0, 3, 0)], "long", "equal heights"),
+    # the third passage through the triple point is at an equal height too
+    ([(2, 3, 0), (0, 0, 0), (0, 2, 1), (3, 2, 0), (1, 2, 0)], "closed",
+     "triple point"),
 ])
 def test_sweep_matches_all_pairs_on_each_fault(points3, shape, expected):
     got = _sweep_outcome(points3, shape)
@@ -300,3 +303,120 @@ def test_sweep_matches_all_pairs_on_coarse_polygons(polygon):
     points3, shape = polygon
     if len(points3) >= (3 if shape == "closed" else 2):
         _sweep_outcome(points3, shape)
+
+
+# -- prefix-sum Morse indices against the chain-based counts they replaced ---
+
+def _point_index(p, chain):
+    """Reference: signed crossings of the open rightward ray from p with a
+    polyline, counted edge by edge."""
+    total = 0
+    for a, b in zip(chain, chain[1:]):
+        if min(a[1], b[1]) < p[1] < max(a[1], b[1]):
+            x_at = a[0] + (p[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0])
+            if x_at > p[0]:
+                total += 1 if b[1] > a[1] else -1
+    return total
+
+
+def _chain_between(curve, t1, t2, point):
+    pts = [point]
+    for i in range(int(t1) + 1, int(t2) + 1):
+        pts.append(curve.points[i % len(curve.points)])
+    return pts + [point]
+
+
+def _chain_outside(curve, t1, t2, point):
+    if curve.shape == "closed":
+        pts = [point]
+        for i in range(int(t2) + 1, int(t1) + curve.n_edges + 1):
+            pts.append(curve.points[i % len(curve.points)])
+        return [pts + [point]]
+    head = curve.points[:int(t1) + 1] + [point]
+    tail = [point] + curve.points[int(t2) + 1:]
+    return [head, tail]
+
+
+def _chain_morse_stats(curve):
+    """Reference: every index counted on an explicit polyline, the arc
+    between a double point's passages, the rest of the curve, or the halves
+    of a long curve before and after an extremum."""
+    ext = curve.extrema()
+    M = sum(1 for _, _, kind, _ in ext if kind == "max")
+    X, Xp = x_counts((c.d1, c.d2) for c in curve.crossings)
+    if curve.shape == "long":
+        I_int = I_out = 0
+        for c in curve.crossings:
+            I_int += c.eps * _point_index(
+                c.point, _chain_between(curve, c.t1, c.t2, c.point))
+            I_out += c.eps * sum(
+                _point_index(c.point, ch)
+                for ch in _chain_outside(curve, c.t1, c.t2, c.point))
+        I_r = I_l = 0
+        for vi, p, kind, turn in ext:
+            idx_in = _point_index(p, curve.points[:vi + 1])
+            idx_out = _point_index(p, curve.points[vi:])
+            d_in = (p[0] - curve.points[vi - 1][0],
+                    p[1] - curve.points[vi - 1][1])
+            nxt = curve.points[vi + 1]
+            d_out = (nxt[0] - p[0], nxt[1] - p[1])
+            eta = 1 if kind == "min" else -1
+            in_is_right = eta * Fraction(d_in[0], d_in[1]) > \
+                eta * Fraction(d_out[0], d_out[1])
+            i_r, i_l = (idx_in, idx_out) if in_is_right else (idx_out, idx_in)
+            I_r += turn * i_r
+            I_l += turn * i_l
+        return (M, X, Xp, X - Xp, I_int, I_out, I_r, I_l)
+    full = curve.points + curve.points[:1]
+    E = sum(turn * _point_index(p, full) for _, p, _, turn in ext)
+    Q = 0
+    for c in curve.crossings:
+        i1 = _point_index(c.point, _chain_between(curve, c.t1, c.t2, c.point))
+        (arc2,) = _chain_outside(curve, c.t1, c.t2, c.point)
+        i2 = _point_index(c.point, arc2)
+        Q += (i2 - i1) if _cross(c.d2, c.d1) > 0 else (i1 - i2)
+    return (M, X, E, Q)
+
+
+def _stats_tuple(st):
+    if st.E is None:
+        return (st.M, st.X, st.Xplus, st.Xminus, st.I_int, st.I_out, st.I_r,
+                st.I_l)
+    return (st.M, st.X, st.E, st.Q)
+
+
+def _random_polygon(rng, shape):
+    """4-14 vertices with coordinates in 0..999, so long edges criss-cross
+    and rays from a point cross edges far along the curve; a long polygon
+    starts and ends on the axis."""
+    pts = [(rng.randint(0, 999), rng.randint(0, 999), rng.randint(0, 999))
+           for _ in range(rng.randint(4, 14))]
+    if shape == "long":
+        pts[0], pts[-1] = (0, pts[0][1], 0), (0, pts[-1][1], 0)
+    return PolyKnot(tuple(pts), shape=shape)
+
+
+def test_morse_stats_match_chain_counts():
+    # braid polyknots of 1-20 letters, long and closed, each on the braid's
+    # grid and perturbed off it, and random polygons; a knot that is not
+    # generic is skipped, and enough of each kind survive
+    rng = random.Random(9)
+    compared = dict.fromkeys(("braid", "perturbed", "random"), 0)
+    knots = []
+    for _ in range(30):
+        word = random_braid_word(rng, rng.randint(1, 20))
+        for closed in (False, True):
+            knot = polyknot_from_braid(word, closed=closed)
+            knots += [("braid", knot),
+                      ("perturbed", knot.perturbed(rng, Fraction(1, 9)))]
+    knots += [("random", _random_polygon(rng, shape))
+              for _ in range(60) for shape in ("long", "closed")]
+    knots.append(("braid", convex_circle_curve()))
+    for kind, knot in knots:
+        try:
+            curve = project(knot)
+        except GenericityError:
+            continue
+        assert _stats_tuple(morse_stats(curve)) == _chain_morse_stats(curve)
+        compared[kind] += 1
+    assert min(compared.values()) >= 40
