@@ -27,9 +27,10 @@ import sys
 from .diagram import (DiagramError, DisagreementError, GaussDiagram,
                       from_braid_word, parse_gauss_code, parse_pd_code,
                       torus_knot_2)
-from .invariants import arf, check_bound, crossing_bound, v2_gauss, v2_sym
+from .invariants import arf, check_bound, v2_gauss, v2_sym
 from .moves import MoveEngine, random_braid_word, random_realizable
-from .plane import GenericityError, PolyKnot, project, v2_morse, v2_morse_closed
+from .plane import (GenericityError, PlaneCurve, PolyKnot, project, v2_morse,
+                    v2_morse_closed)
 from .skein import NotDescendingRealizable, v2_skein
 from .tangle import (TangleError, TangleWord, gauss_of_tangle, parse_tangle,
                      v2_natangle, v2_natangle_closed)
@@ -40,7 +41,20 @@ EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_DISAGREE = 3
 
-_INTEGER_METHODS = ("gauss", "sym", "skein", "morse", "natangle")
+# name -> (source type needed, or None for any diagram; skip reason without
+# it; run(diagram, source)).  The callables look their functions up in this
+# module at call time, so a function rebound here (by a tracer) is what runs.
+METHODS = {
+    "gauss": (None, None, lambda g, s: v2_gauss(g)),
+    "sym": (None, None, lambda g, s: v2_sym(g)),
+    "skein": (None, None, lambda g, s: v2_skein(g)),
+    "morse": (PlaneCurve, "not applicable: input has no plane-curve geometry",
+              lambda g, s: v2_morse(s) if s.shape == "long"
+              else v2_morse_closed(s)),
+    "natangle": (TangleWord, "not applicable: input is not a tangle word",
+                 lambda g, s: v2_natangle(s) if s.shape == "long"
+                 else v2_natangle_closed(s)),
+}
 
 
 class CliError(Exception):
@@ -102,28 +116,11 @@ def _build_input(kind: str, payload: str) -> tuple[GaussDiagram, object]:
 
 def _run_method(method: str, diagram: GaussDiagram, source) -> dict:
     """One method's result record: value, or why it was skipped."""
+    needs, skipped, run = METHODS[method]
+    if needs is not None and not isinstance(source, needs):
+        return {"skipped": skipped}
     try:
-        if method == "gauss":
-            return {"value": v2_gauss(diagram)}
-        if method == "sym":
-            return {"value": v2_sym(diagram)}
-        if method == "skein":
-            return {"value": v2_skein(diagram)}
-        if method == "morse":
-            if source is None or isinstance(source, TangleWord):
-                return {"skipped": "not applicable: input has no plane-curve "
-                                   "geometry"}
-            if source.shape == "long":
-                return {"value": v2_morse(source)}
-            return {"value": v2_morse_closed(source)}
-        if method == "natangle":
-            if not isinstance(source, TangleWord):
-                return {"skipped": "not applicable: input is not a tangle word"}
-            if source.shape == "long":
-                return {"value": v2_natangle(source)}
-            # unreachable while _build_input reads words as long; kept as
-            # the binding that perfbench's tracer patches
-            return {"value": v2_natangle_closed(source)}
+        return {"value": run(diagram, source)}
     except GenericityError as exc:
         raise CliError(f"genericity failure in {method}: {exc}", EXIT_VALIDATION)
     except NotDescendingRealizable as exc:
@@ -132,10 +129,11 @@ def _run_method(method: str, diagram: GaussDiagram, source) -> dict:
     except DisagreementError as exc:
         raise CliError(f"internal disagreement in method {method}: {exc}",
                        EXIT_DISAGREE)
-    raise CliError(f"unknown method {method!r}", EXIT_PARSE)
 
 
-def _v2_record(diagram: GaussDiagram, source, methods) -> dict:
+def _v2_record(diagram: GaussDiagram, source, method: str) -> dict:
+    """Results of one method, or of every method for "all"."""
+    methods = METHODS if method == "all" else [method]
     results = {m: _run_method(m, diagram, source) for m in methods}
     values = {m: r["value"] for m, r in results.items() if "value" in r}
     agree = len(set(values.values())) <= 1
@@ -179,8 +177,7 @@ def _to_tsv(payload: dict) -> str:
 
 def _cmd_v2(args) -> int:
     diagram, source = _parse_input(args)
-    methods = list(_INTEGER_METHODS) if args.method == "all" else [args.method]
-    rec = _v2_record(diagram, source, methods)
+    rec = _v2_record(diagram, source, args.method)
     _emit({"command": "v2", **rec}, args)
     return 0 if rec["agreement"] else EXIT_DISAGREE
 
@@ -286,7 +283,6 @@ def _cmd_batch(args) -> int:
         records = ingest_csv(args.table)
     except OSError as exc:
         raise CliError(f"unreadable table: {exc}", EXIT_PARSE)
-    methods = list(_INTEGER_METHODS) if args.method == "all" else [args.method]
     out = []
     any_disagree = False
     for rec in records:
@@ -298,7 +294,7 @@ def _cmd_batch(args) -> int:
         entry.update({"kind": rec["kind"], "payload": rec["payload"]})
         try:
             diagram, source = _build_input(rec["kind"], rec["payload"])
-            entry.update(_v2_record(diagram, source, methods))
+            entry.update(_v2_record(diagram, source, args.method))
             if not entry["agreement"]:
                 any_disagree = True
         except CliError as exc:
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     v2p = subs.add_parser("v2", help="compute v2")
     _add_input_flags(v2p)
     v2p.add_argument("--method", default="gauss",
-                     choices=_INTEGER_METHODS + ("all",))
+                     choices=(*METHODS, "all"))
     _add_output_flags(v2p)
     v2p.set_defaults(func=_cmd_v2)
 
@@ -372,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     bt = subs.add_parser("batch", help="process a CSV table")
     bt.add_argument("table", help="CSV with columns name,kind,payload")
     bt.add_argument("--method", default="all",
-                    choices=_INTEGER_METHODS + ("all",))
+                    choices=(*METHODS, "all"))
     _add_output_flags(bt)
     bt.set_defaults(func=_cmd_batch)
     return p

@@ -113,15 +113,13 @@ def _integral(name: str, value: Fraction) -> int:
 
 
 def report(diagram: GaussDiagram, method: str = "gauss") -> InvariantReport:
-    from .skein import v2_skein
+    """v2 by one of the methods that take any Gauss diagram (`cli.METHODS`
+    rows with no source type), with the Arf invariant and the bound."""
+    from .cli import METHODS
 
-    if method == "gauss":
-        v2 = v2_gauss(diagram)
-    elif method == "sym":
-        v2 = v2_sym(diagram)
-    elif method == "skein":
-        v2 = v2_skein(diagram)
-    else:
+    row = METHODS.get(method)
+    if row is None or row[0] is not None:
         raise ValueError(f"unknown method {method!r}")
-    return InvariantReport(v2=v2, arf=arf(diagram), n=diagram.n,
-                           bound=crossing_bound(diagram.n), method=method)
+    return InvariantReport(v2=row[2](diagram, None), arf=arf(diagram),
+                           n=diagram.n, bound=crossing_bound(diagram.n),
+                           method=method)

@@ -38,7 +38,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .plane import GenericityError, PolyKnot, _box_pairs, _crossing
+from .plane import (GenericityError, PolyKnot, _box_pairs, _check_long_ends,
+                    _crossing)
 
 __all__ = ["McEstimate", "linking_mc", "v2_mc", "v2_mc_series",
            "lk_combinatorial"]
@@ -186,6 +187,8 @@ def linking_mc(loop1, loop2, samples: int, seed: int = 0) -> McEstimate:
 
 def _vertices_of(loop):
     if isinstance(loop, PolyKnot):
+        if loop.shape != "closed":
+            raise ValueError("a linking loop must be closed, got a long knot")
         return loop.vertices
     return loop
 
@@ -308,6 +311,7 @@ def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
                checkpoints: list[int]) -> list[McEstimate]:
     if knot.shape != "long":
         raise ValueError("v2_mc needs a long knot")
+    _check_long_ends(knot.vertices[0], knot.vertices[-1])
     par = _Param(knot.vertices, long=True)
     accs = [_Accumulator() for _ in range(4)]
     out = []

@@ -172,6 +172,16 @@ def _crossing(e, f, i, j, seen):
                     writhe=eps if over_first else -eps)
 
 
+def _check_long_ends(first, last) -> None:
+    """GenericityError unless a long knot's last vertex lies above its
+    first: the tails run down from the first and up from the last along the
+    same vertical axis, so otherwise they overlap."""
+    y0, y1 = first[1], last[1]
+    if y1 <= y0:
+        raise GenericityError(f"long knot ends at y={y1}, not above its "
+                              f"start at y={y0}")
+
+
 @dataclass(frozen=True)
 class PolyKnot:
     """3D polygonal knot; coordinates are exact rationals.
@@ -292,6 +302,8 @@ class PlaneCurve:
         ys = [p[1] for p in self.points]
         if len(set(ys)) != len(ys):
             raise GenericityError("two vertices share a y-coordinate")
+        if self.shape == "long":
+            _check_long_ends(self.points[1], self.points[-2])
         for a, b in self._edges():
             if a[1] == b[1]:
                 raise GenericityError(f"horizontal edge at y={a[1]}")

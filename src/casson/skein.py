@@ -6,11 +6,11 @@ contributes sign * lk of the two-component smoothing, evaluated on the
 diagram state at switch time.  The walk ends on a descending diagram, which
 represents the unknot, so the accumulated total is v2.
 
-The linking number of a smoothing is computed two ways: by the closed-form
-chord count and by explicitly two-coloring the smoothed components.  The two
-counts must agree, or `NotDescendingRealizable` is raised: a mismatch means
-the input was not realizable.  Both are O(n) scans of the state kept on
-endpoint indices, so the descent is O(n^2) for n chords.
+One O(n) scan of the state, kept on endpoint indices, counts the linking
+number of a smoothing two ways: half the signed crossings between its two
+components, and the closed-form count of those whose heads lie after the
+switched chord's tail.  They must agree, or `NotDescendingRealizable` is
+raised: the input was not realizable.  The descent is O(n^2) for n chords.
 """
 
 from __future__ import annotations
@@ -45,31 +45,25 @@ class FlipTrace:
         }
 
 
-def _lk_count(tail, head, sign, c: int) -> int:
-    """Closed-form lk of the smoothing at chord index c, on endpoint indices:
-    sum of signs of chords interlocked with c whose head lies after c's tail."""
-    lo, hi = min(tail[c], head[c]), max(tail[c], head[c])
+def _interlock_scan(tail, head, sign, c: int) -> tuple[int, int]:
+    """(crossings, lk) of the smoothing at chord index c, on endpoint
+    indices: the signed count of chords interlocked with c, and the part of
+    that count whose heads lie after c's tail."""
     tc = tail[c]
-    total = 0
-    for t, h, s in zip(tail, head, sign):
-        if (lo < t < hi) != (lo < h < hi) and h > tc:
-            total += s
-    return total
-
-
-def _two_color_crossings(tail, head, sign, c: int) -> int:
-    """Signed count of crossings between the two components of the
-    smoothing at chord index c; lk is half of it."""
-    lo, hi = min(tail[c], head[c]), max(tail[c], head[c])
-    total = 0
+    lo, hi = min(tc, head[c]), max(tc, head[c])
+    crossings = lk = 0
     for t, h, s in zip(tail, head, sign):
         if (lo < t < hi) != (lo < h < hi):
-            total += s
-    return total
+            crossings += s
+            if h > tc:
+                lk += s
+    return crossings, lk
 
 
-def _chord_index(diagram: GaussDiagram, chord_id: int) -> int:
-    return diagram.chords.index(diagram.chord(chord_id))
+def _scan_chord(diagram: GaussDiagram, chord_id: int) -> tuple[int, int]:
+    v = diagram.index_view
+    c = diagram.chords.index(diagram.chord(chord_id))
+    return _interlock_scan(v.tail, v.head, v.sign, c)
 
 
 def lk_smoothed(diagram: GaussDiagram, chord_id: int) -> int:
@@ -78,8 +72,7 @@ def lk_smoothed(diagram: GaussDiagram, chord_id: int) -> int:
     Sum of signs of chords interlocked with it whose head lies on the arc
     from its tail forward to the base point.
     """
-    v = diagram.index_view
-    return _lk_count(v.tail, v.head, v.sign, _chord_index(diagram, chord_id))
+    return _scan_chord(diagram, chord_id)[1]
 
 
 def lk_smoothed_two_color(diagram: GaussDiagram, chord_id: int) -> Fraction:
@@ -90,9 +83,7 @@ def lk_smoothed_two_color(diagram: GaussDiagram, chord_id: int) -> Fraction:
     chords, and lk is half their signed count.  Returns an exact Fraction so
     a non-integer result (impossible on realizable inputs) is visible.
     """
-    v = diagram.index_view
-    c = _chord_index(diagram, chord_id)
-    return Fraction(_two_color_crossings(v.tail, v.head, v.sign, c), 2)
+    return Fraction(_scan_chord(diagram, chord_id)[0], 2)
 
 
 def is_descending(diagram: GaussDiagram) -> bool:
@@ -100,7 +91,7 @@ def is_descending(diagram: GaussDiagram) -> bool:
     return all(c.tail < c.head for c in diagram.chords)
 
 
-def descend(diagram: GaussDiagram, check_two_color: bool = True) -> FlipTrace:
+def descend(diagram: GaussDiagram) -> FlipTrace:
     """Switch first-met-at-head crossings until the diagram is descending.
 
     The state is kept as tail, head and sign lists on endpoint indices and
@@ -112,13 +103,11 @@ def descend(diagram: GaussDiagram, check_two_color: bool = True) -> FlipTrace:
     for p, c in enumerate(v.at):
         if head[c] != p or tail[c] < p:
             continue
-        lk = _lk_count(tail, head, sign, c)
-        if check_two_color:
-            crossings = _two_color_crossings(tail, head, sign, c)
-            if crossings != 2 * lk:
-                raise NotDescendingRealizable(
-                    f"lk mismatch at chord {diagram.chords[c].id}: count {lk} "
-                    f"vs smoothing {Fraction(crossings, 2)}")
+        crossings, lk = _interlock_scan(tail, head, sign, c)
+        if crossings != 2 * lk:
+            raise NotDescendingRealizable(
+                f"lk mismatch at chord {diagram.chords[c].id}: count {lk} "
+                f"vs smoothing {Fraction(crossings, 2)}")
         flips.append((diagram.chords[c].id, sign[c], lk))
         tail[c], head[c], sign[c] = head[c], tail[c], -sign[c]
     final = GaussDiagram([c.reversed() if s != c.sign else c

@@ -266,3 +266,110 @@ def test_negative_counts(argv, flag, capsys):
     assert main(argv + ["--seed", "1"]) == EXIT_VALIDATION
     out, err = capsys.readouterr()
     assert out == "" and flag in err and len(err.strip().splitlines()) == 1
+
+
+def test_long_knot_ending_below_its_start(tmp_path, capsys):
+    # the upper tail would run back down through the lower one
+    text = '{"shape":"long","vertices":[[0,5,0],[1,3,1],[2,7,0],[0,2,0]]}'
+    path = tmp_path / "below.json"
+    path.write_text(text)
+    for argv in (["v2", "--polyknot", text],
+                 ["integrate", "--knot", str(path), "--samples", "1000"]):
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert "y=2" in err and "y=5" in err
+
+
+# -- the method table against the dispatch chain it replaced ------------------
+
+import casson.cli as cli
+from casson.diagram import DisagreementError
+from casson.plane import GenericityError, PlaneCurve, project
+from casson.skein import NotDescendingRealizable
+from casson.tangle import TangleWord, gauss_of_tangle, random_tangle_word
+
+
+def _chain_run_method(method, diagram, source):
+    """The if-chain dispatch that `cli.METHODS` replaced."""
+    try:
+        if method == "gauss":
+            return {"value": cli.v2_gauss(diagram)}
+        if method == "sym":
+            return {"value": cli.v2_sym(diagram)}
+        if method == "skein":
+            return {"value": cli.v2_skein(diagram)}
+        if method == "morse":
+            if source is None or isinstance(source, TangleWord):
+                return {"skipped": "not applicable: input has no plane-curve "
+                                   "geometry"}
+            if source.shape == "long":
+                return {"value": cli.v2_morse(source)}
+            return {"value": cli.v2_morse_closed(source)}
+        if method == "natangle":
+            if not isinstance(source, TangleWord):
+                return {"skipped": "not applicable: input is not a tangle word"}
+            if source.shape == "long":
+                return {"value": cli.v2_natangle(source)}
+            return {"value": cli.v2_natangle_closed(source)}
+    except GenericityError as exc:
+        raise cli.CliError(f"genericity failure in {method}: {exc}",
+                           EXIT_VALIDATION)
+    except NotDescendingRealizable as exc:
+        raise cli.CliError(f"input is not a realizable diagram ({method}): "
+                           f"{exc}", EXIT_VALIDATION)
+    except DisagreementError as exc:
+        raise cli.CliError(f"internal disagreement in method {method}: {exc}",
+                           EXIT_DISAGREE)
+    raise cli.CliError(f"unknown method {method!r}", EXIT_PARSE)
+
+
+def _method_inputs():
+    """(diagram, source) of the six CLI kinds, a closed polyknot and a
+    closed tangle word."""
+    inputs = [cli._build_input(kind, payload) for kind, payload in (
+        ("braid", "1 -2 1 -2"), ("gauss", "O1+U2+O3+U1+O2+U3+"),
+        ("pd", "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"), ("torus", "7"),
+        ("polyknot", polyknot_from_braid([1, 1, 1], closed=False).to_json()),
+        ("tangle", TREFOIL_TANGLE_TEXT))]
+    curve = project(polyknot_from_braid([1, -2, 1, -2], closed=True))
+    word = random_tangle_word(3, 16, "closed")
+    return inputs + [(curve.gauss_diagram(), curve),
+                     (gauss_of_tangle(word), word)]
+
+
+def _outcome(run_method, method, diagram, source):
+    try:
+        return run_method(method, diagram, source)
+    except cli.CliError as exc:
+        return exc.code, str(exc)
+
+
+def test_method_table_matches_the_dispatch_chain():
+    inputs = _method_inputs()
+    kinds = {type(s) for _, s in inputs}
+    assert kinds == {type(None), PlaneCurve, TangleWord}
+    assert {s.shape for _, s in inputs if s is not None} == {"long", "closed"}
+    for diagram, source in inputs:
+        for method in cli.METHODS:
+            assert cli._run_method(method, diagram, source) == \
+                _chain_run_method(method, diagram, source)
+
+
+@pytest.mark.parametrize("error", [GenericityError, NotDescendingRealizable,
+                                   DisagreementError])
+def test_method_table_reports_errors_like_the_chain(error, monkeypatch):
+    inputs = _method_inputs()
+    ran = {(k, method): "value" in cli._run_method(method, diagram, source)
+           for k, (diagram, source) in enumerate(inputs)
+           for method in cli.METHODS}
+    for name in ("v2_gauss", "v2_sym", "v2_skein", "v2_morse",
+                 "v2_morse_closed", "v2_natangle", "v2_natangle_closed"):
+        def fail(*args, name=name):
+            raise error(f"injected into {name}")
+        monkeypatch.setattr(cli, name, fail)
+    for k, (diagram, source) in enumerate(inputs):
+        for method in cli.METHODS:
+            got = _outcome(cli._run_method, method, diagram, source)
+            assert got == _outcome(_chain_run_method, method, diagram, source)
+            assert isinstance(got, tuple) == ran[k, method]

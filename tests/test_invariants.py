@@ -223,3 +223,16 @@ def test_x_counts_matches_previous_rule():
         eps = (cr > 0) - (cr < 0)
         plus = s1 == s2 and ((s1 > 0 and eps > 0) or (s1 < 0 and eps < 0))
         assert x_counts([(d1, d2)]) == (int(s1 == s2), int(plus))
+
+
+@pytest.mark.parametrize("method", ["gauss", "sym", "skein"])
+def test_report_methods(method, trefoil, figure_eight):
+    assert report(trefoil, method).v2 == 1
+    rep = report(figure_eight, method)
+    assert (rep.v2, rep.arf, rep.n, rep.method) == (-1, 1, 4, method)
+
+
+@pytest.mark.parametrize("method", ["morse", "natangle", "all", "bogus"])
+def test_report_rejects_methods_that_need_a_source(method, trefoil):
+    with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+        report(trefoil, method)

@@ -262,3 +262,12 @@ def test_param_matches_closed_and_long_copies():
         t = np.concatenate((t, t[::-1], np.sort(t, axis=0)), axis=1)
         for got, want in zip(par.eval(t), _long_eval(knot.vertices, t)):
             assert np.array_equal(got, want)
+
+
+def test_linking_rejects_a_long_knot():
+    long_knot = polyknot_from_braid([1, 1, 1])
+    square = [(10, 0, 0), (12, 0, 0), (12, 2, 0), (10, 2, 0)]
+    with pytest.raises(ValueError, match="long knot"):
+        lk_combinatorial(long_knot, square)
+    with pytest.raises(ValueError, match="long knot"):
+        linking_mc(square, long_knot, 1000)

