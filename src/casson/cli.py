@@ -152,8 +152,11 @@ def _emit(payload: dict, args) -> None:
         text = json.dumps(payload, indent=2) + "\n"
     out = getattr(args, "output", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write output: {exc}", EXIT_PARSE)
     else:
         sys.stdout.write(text)
 

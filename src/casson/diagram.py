@@ -123,11 +123,6 @@ class GaussDiagram:
                              tuple(c.head for c in self.chords),
                              tuple(c.sign for c in self.chords), tuple(at))
 
-    def interlocked(self, a: Chord, b: Chord) -> bool:
-        """True when the endpoints of a and b alternate around the circle."""
-        lo, hi = min(a.tail, a.head), max(a.tail, a.head)
-        return (lo < b.tail < hi) != (lo < b.head < hi)
-
     @staticmethod
     def from_endpoint_order(order: Iterable[tuple[int, str]], signs: dict[int, int],
                             shape: Literal["closed", "long"] = "closed") -> "GaussDiagram":

@@ -157,6 +157,11 @@ class _Param:
         return pos, deriv
 
 
+def _check_samples(*counts: int) -> None:
+    if any(n < 1 for n in counts):
+        raise ValueError(f"sample counts must be at least 1, got {min(counts)}")
+
+
 # ---------------------------------------------------------------------------
 # closed polygons and the linking integral
 
@@ -167,6 +172,7 @@ def linking_mc(loop1, loop2, samples: int, seed: int = 0) -> McEstimate:
     converges to the linking number; its sign convention matches the signed
     crossing count of lk_combinatorial.
     """
+    _check_samples(samples)
     par1 = _Param(_vertices_of(loop1), long=False)
     par2 = _Param(_vertices_of(loop2), long=False)
     scale = max(par1.scale, par2.scale)
@@ -309,6 +315,7 @@ _STRATUM_SIGNS = (1.0, -1.0, -1.0, 1.0)
 
 def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
                checkpoints: list[int]) -> list[McEstimate]:
+    _check_samples(samples, *checkpoints)
     if knot.shape != "long":
         raise ValueError("v2_mc needs a long knot")
     _check_long_ends(knot.vertices[0], knot.vertices[-1])

@@ -184,7 +184,9 @@ class MoveEngine:
     def _word_move(self, rng: random.Random) -> str | None:
         w = self.word
         k = max((abs(a) for a in w), default=0) + 1
-        choices = ["r2_word", "conjugate", "stabilize"]
+        # on the empty word (one strand) a letter pair closes to two
+        # components, so only a stabilization keeps a knot
+        choices = ["r2_word", "conjugate", "stabilize"] if w else ["stabilize"]
         if _triple_sites(w):
             choices.append("triple")
         if any(abs(abs(a) - abs(b)) >= 2 for a, b in zip(w, w[1:])):

@@ -1,26 +1,22 @@
-"""The pairing bracket: signed counts of subdiagrams matching an arrow pattern.
+"""The pairing bracket: signed counts of interlocked two-chord subdiagrams.
 
-A pattern is an unsigned based chord configuration; the bracket of a pattern
-with a diagram sums the product of chord signs over all chord subsets whose
-endpoint order and arrow directions, read from the base point, match the
-pattern.
+A pattern is one of the four interlocked two-chord arrow diagrams: reading
+from the base point, its endpoints run a b a b, and each chord points
+forward (tail first) or backward.  The bracket of a pattern with a diagram
+is the sum of w_a * w_b over chord pairs that match it, with w the chord
+signs (or 1, for `unsigned_match_count`); it is linear in integer
+combinations of patterns.  Polyak-Viro's v2, the Arf invariant and the
+Morse and associator formulas use no other patterns.
 
-Both kernels work on the diagram's integer endpoint indices
-(`GaussDiagram.index_view`).  The four interlocked two-chord patterns
-(`XUP`, `XDOWN`, `XFWD`, `XBWD`) are counted by one Fenwick-tree sweep in
-O(n log n): a pair matches when its endpoints read l_a < l_b < r_a < r_b
-and each chord points the way the pattern says, which is a 2D dominance
-count.  Every other pattern goes through the subset enumerator, which tries
-all C(n, k) chord subsets and compares canonical endpoint words;
-`enumerated_bracket` runs it for every pattern and is the reference the
-fast path is tested against.
+The count works on the diagram's integer endpoint indices
+(`GaussDiagram.index_view`): a pair matches when its endpoints read
+l_a < l_b < r_a < r_b and each chord points the way the pattern says, which
+is a 2D dominance count, done by one Fenwick-tree sweep in O(n log n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
 
 from .diagram import EndpointIndex, GaussDiagram
 
@@ -30,61 +26,36 @@ __all__ = [
     "XUP", "XDOWN", "XFWD", "XBWD", "X_ALL", "XFB",
     "bracket",
     "unsigned_match_count",
-    "enumerated_bracket",
 ]
-
-
-def _canonical(seq) -> tuple[tuple[int, str], ...]:
-    """Endpoint word with chord labels renumbered by first appearance."""
-    relabel: dict = {}
-    return tuple((relabel.setdefault(key, len(relabel)), kind)
-                 for key, kind in seq)
 
 
 @dataclass(frozen=True)
 class ArrowPattern:
-    """Chord-configuration template given as slots (chord index, 'H'|'T').
+    """Interlocked two-chord pattern given as slots (chord label, 'H'|'T').
 
-    Slots are listed in circle order starting from the base point; each chord
-    index must occur exactly once as head and once as tail.
+    The four slots are listed in circle order from the base point and read
+    a b a b, each chord with one head and one tail; any other word raises
+    `ValueError`.
     """
 
     name: str
     slots: tuple[tuple[int, str], ...]
+    arity = 2   # chords per pattern
 
     def __post_init__(self):
-        ends: dict[int, set[str]] = {}
-        for idx, kind in self.slots:
-            if kind not in ("H", "T"):
-                raise ValueError(f"slot kind must be 'H' or 'T', got {kind!r}")
-            ends.setdefault(idx, set()).add(kind)
-        if any(kinds != {"H", "T"} for kinds in ends.values()) or \
-                len(self.slots) != 2 * len(ends):
-            raise ValueError("each pattern chord needs exactly one head and one tail")
-        if not ends:
-            raise ValueError("pattern must have at least one chord")
+        labels = [label for label, _ in self.slots]
+        kinds = ({kind for _, kind in self.slots[0::2]},
+                 {kind for _, kind in self.slots[1::2]})
+        if len(labels) != 4 or labels[0] == labels[1] \
+                or labels[2:] != labels[:2] or kinds != ({"H", "T"},) * 2:
+            raise ValueError("a pattern is two interlocked chords a b a b, "
+                             f"each with one head and one tail; got {self.slots!r}")
 
     @property
-    def arity(self) -> int:
-        return len(self.slots) // 2
-
-    @cached_property
-    def canonical(self) -> tuple[tuple[int, str], ...]:
-        return _canonical(self.slots)
-
-    def __add__(self, other):
-        return PatternCombination(((1, self),) + _terms(other))
-
-    def __rmul__(self, k: int):
-        return PatternCombination(((k, self),))
-
-    def matches(self, endpoint_seq: list[tuple[int, str]]) -> bool:
-        """Does an endpoint sequence (chord key, kind) realize this pattern?
-
-        True when both words agree once chords are relabelled by first
-        appearance.
-        """
-        return _canonical(endpoint_seq) == self.canonical
+    def forward(self) -> tuple[bool, bool]:
+        """(chord a forward, chord b forward); a chord is forward when its
+        tail comes first."""
+        return self.slots[0][1] == "T", self.slots[1][1] == "T"
 
 
 @dataclass(frozen=True)
@@ -93,19 +64,9 @@ class PatternCombination:
 
     terms: tuple[tuple[int, ArrowPattern], ...]
 
-    def __add__(self, other):
-        return PatternCombination(self.terms + _terms(other))
-
-    def __rmul__(self, k: int):
-        return PatternCombination(tuple((k * c, p) for c, p in self.terms))
-
 
 def _terms(obj) -> tuple[tuple[int, ArrowPattern], ...]:
-    if isinstance(obj, ArrowPattern):
-        return ((1, obj),)
-    if isinstance(obj, PatternCombination):
-        return obj.terms
-    raise TypeError(f"expected a pattern or combination, got {type(obj).__name__}")
+    return obj.terms if isinstance(obj, PatternCombination) else ((1, obj),)
 
 
 # The four interlocked two-chord patterns.  Slots 1..4 in order from the base
@@ -117,16 +78,6 @@ XFWD = ArrowPattern("xfwd", ((1, "T"), (2, "T"), (1, "H"), (2, "H")))
 XBWD = ArrowPattern("xbwd", ((1, "H"), (2, "H"), (1, "T"), (2, "T")))
 X_ALL = PatternCombination(((1, XUP), (1, XDOWN), (1, XFWD), (1, XBWD)))
 XFB = PatternCombination(((1, XFWD), (1, XBWD)))
-
-
-def _interlock_directions(pattern: ArrowPattern) -> tuple[bool, bool] | None:
-    """(first chord forward, second chord forward) for an interlocked
-    two-chord pattern, None for any other pattern.  A chord is forward
-    when its tail precedes its head."""
-    word = pattern.canonical
-    if [label for label, _ in word] != [0, 1, 0, 1]:
-        return None
-    return word[0][1] == "T", word[1][1] == "T"
 
 
 def _interlock_sum(view: EndpointIndex, weight, a_forward: bool,
@@ -168,33 +119,10 @@ def _interlock_sum(view: EndpointIndex, weight, a_forward: bool,
     return total
 
 
-def _enumerate(pattern: ArrowPattern, view: EndpointIndex, weight) -> int:
-    """Sum of weight products over all matching chord subsets, by trying
-    every subset of the pattern's size."""
-    tail, head = view.tail, view.head
-    total = 0
-    for subset in combinations(range(len(tail)), pattern.arity):
-        ends = sorted([(tail[c], c, "T") for c in subset]
-                      + [(head[c], c, "H") for c in subset])
-        if pattern.matches([(c, kind) for _, c, kind in ends]):
-            prod = 1
-            for c in subset:
-                prod *= weight[c]
-            total += prod
-    return total
-
-
-def _count(pattern: ArrowPattern, view: EndpointIndex, weight) -> int:
-    directions = _interlock_directions(pattern)
-    if directions is None:
-        return _enumerate(pattern, view, weight)
-    return _interlock_sum(view, weight, *directions)
-
-
 def bracket(pattern, diagram: GaussDiagram) -> int:
     """Sum of chord-sign products over subdiagrams matching the pattern."""
     view = diagram.index_view
-    return sum(coeff * _count(pat, view, view.sign)
+    return sum(coeff * _interlock_sum(view, view.sign, *pat.forward)
                for coeff, pat in _terms(pattern))
 
 
@@ -202,13 +130,5 @@ def unsigned_match_count(pattern, diagram: GaussDiagram) -> int:
     """Plain number of matching subdiagrams, ignoring chord signs."""
     view = diagram.index_view
     ones = (1,) * diagram.n
-    return sum(coeff * _count(pat, view, ones) for coeff, pat in _terms(pattern))
-
-
-def enumerated_bracket(pattern, diagram: GaussDiagram, signed: bool = True) -> int:
-    """`bracket` (or, unsigned, `unsigned_match_count`) by subset enumeration
-    for every pattern: the slow reference for the fast kernel."""
-    view = diagram.index_view
-    weight = view.sign if signed else (1,) * diagram.n
-    return sum(coeff * _enumerate(pat, view, weight)
+    return sum(coeff * _interlock_sum(view, ones, *pat.forward)
                for coeff, pat in _terms(pattern))

@@ -26,7 +26,6 @@ All geometric predicates use Fraction arithmetic; there are no tolerances.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -227,18 +226,6 @@ class PolyKnot:
                           for c in v] for v in self.vertices],
         })
 
-    def perturbed(self, rng: random.Random, scale: Fraction) -> "PolyKnot":
-        """Jitter interior vertices by rationals of magnitude <= scale."""
-        out = []
-        for i, v in enumerate(self.vertices):
-            fixed = self.shape == "long" and i in (0, len(self.vertices) - 1)
-            if fixed:
-                out.append(v)
-            else:
-                out.append(tuple(c + scale * Fraction(rng.randint(-64, 64), 64)
-                                 for c in v))
-        return PolyKnot(tuple(out), shape=self.shape)
-
 
 @dataclass(frozen=True)
 class Crossing:
@@ -391,22 +378,6 @@ class PlaneCurve:
         passes.sort()
         order = [(cid, kind) for _, cid, kind in passes]
         return GaussDiagram.from_endpoint_order(order, signs, shape=self.shape)
-
-    def to_svg(self, width: int = 400) -> str:
-        """Plain SVG rendering of the projection (documentation aid only)."""
-        if not self.points:
-            return "<svg xmlns='http://www.w3.org/2000/svg'/>"
-        xs = [float(p[0]) for p in self.points]
-        ys = [float(p[1]) for p in self.points]
-        x0, x1 = min(xs) - 1, max(xs) + 1
-        y0, y1 = min(ys) - 1, max(ys) + 1
-        sc = width / max(x1 - x0, y1 - y0)
-        pts = " ".join(f"{(x - x0) * sc:.1f},{(y1 - y) * sc:.1f}"
-                       for x, y in zip(xs, ys))
-        tag = "polygon" if self.shape == "closed" else "polyline"
-        return (f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' "
-                f"height='{width}'><{tag} points='{pts}' fill='none' "
-                f"stroke='black'/></svg>")
 
 
 def project(knot: PolyKnot) -> PlaneCurve:

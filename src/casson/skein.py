@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .diagram import GaussDiagram
 
-__all__ = ["FlipTrace", "descend", "lk_smoothed", "lk_smoothed_two_color", "v2_skein"]
+__all__ = ["FlipTrace", "descend", "v2_skein"]
 
 
 class NotDescendingRealizable(ValueError):
@@ -58,32 +58,6 @@ def _interlock_scan(tail, head, sign, c: int) -> tuple[int, int]:
             if h > tc:
                 lk += s
     return crossings, lk
-
-
-def _scan_chord(diagram: GaussDiagram, chord_id: int) -> tuple[int, int]:
-    v = diagram.index_view
-    c = diagram.chords.index(diagram.chord(chord_id))
-    return _interlock_scan(v.tail, v.head, v.sign, c)
-
-
-def lk_smoothed(diagram: GaussDiagram, chord_id: int) -> int:
-    """Closed-form lk of the smoothing at a chord.
-
-    Sum of signs of chords interlocked with it whose head lies on the arc
-    from its tail forward to the base point.
-    """
-    return _scan_chord(diagram, chord_id)[1]
-
-
-def lk_smoothed_two_color(diagram: GaussDiagram, chord_id: int) -> Fraction:
-    """lk of the smoothing by two-coloring the components.
-
-    Smoothing at a chord splits the circle into the arc tail->head and the
-    arc head->tail; inter-component crossings are exactly the interlocked
-    chords, and lk is half their signed count.  Returns an exact Fraction so
-    a non-integer result (impossible on realizable inputs) is visible.
-    """
-    return Fraction(_scan_chord(diagram, chord_id)[0], 2)
 
 
 def is_descending(diagram: GaussDiagram) -> bool:

@@ -55,7 +55,6 @@ __all__ = [
     "v2_natangle",
     "v2_natangle_closed",
     "random_tangle_word",
-    "TREFOIL_TANGLE",
 ]
 
 # S3 elements in cycle notation, keyed by the image tuple of (1,2,3)
@@ -454,17 +453,6 @@ def v2_natangle_closed(word: TangleWord) -> int:
 
 # Long trefoil as a cut-open 2-strand braid closure: cup for the return
 # arc's bottom, rebracket, three positive crossings, rebracket, cap.
-TREFOIL_TANGLE = """\
-MIN@2:u
-A@1:R
-X@1:+:o
-X@1:+:o
-X@1:+:o
-A@1:L
-MAX@2:u
-"""
-
-
 def _sibling_pairs(tree: _StrandTree):
     """(position, left leaf, right leaf, parent) for bracket-sibling leaves."""
     out = []

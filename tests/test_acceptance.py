@@ -18,11 +18,12 @@ from casson.plane import (arnold_I, convex_circle_curve, decomposition_identity,
                           morse_stats, polyknot_from_braid, project, v2_morse,
                           v2_morse_closed)
 from casson.skein import v2_skein
-from casson.tangle import (TREFOIL_TANGLE, gauss_of_tangle, parse_tangle,
-                           random_tangle_word, v2_natangle, v2_natangle_closed)
+from casson.tangle import (gauss_of_tangle, parse_tangle, random_tangle_word,
+                           v2_natangle, v2_natangle_closed)
 from casson.mcint import linking_mc, lk_combinatorial, v2_mc_series
 
 from conftest import ACCEPTANCE_LINES
+from test_tangle import TREFOIL_TANGLE
 
 
 def _record(num: int, ok: bool, detail: str):

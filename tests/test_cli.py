@@ -100,6 +100,14 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(path.read_text())["v2"] == 1
 
 
+def test_unwritable_output_file(tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json"
+    assert main(["v2", "--braid", "s1 s1 s1", "-o", str(path)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("casson: cannot write output: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_schema_version_present(capsys):
     _, out = run(capsys, "v2", "--torus", "3")
     assert out["schema_version"] == 1
@@ -266,6 +274,13 @@ def test_negative_counts(argv, flag, capsys):
     assert main(argv + ["--seed", "1"]) == EXIT_VALIDATION
     out, err = capsys.readouterr()
     assert out == "" and flag in err and len(err.strip().splitlines()) == 1
+
+
+def test_no_letters_with_moves():
+    for seed in range(20):
+        for command in ("gen", "moves-check"):
+            assert main([command, "--letters", "0", "--moves", "5",
+                         "--seed", str(seed)]) == 0
 
 
 def test_long_knot_ending_below_its_start(tmp_path, capsys):

@@ -84,14 +84,6 @@ def test_base_point_move_cycles():
     assert h.serialize() == g.serialize()
 
 
-def test_interlocked():
-    g = parse_gauss_code("O1+U2+O3+U1+O2+U3+", shape="long")
-    c1, c2, c3 = (g.chord(i) for i in (1, 2, 3))
-    assert g.interlocked(c1, c2)
-    assert g.interlocked(c2, c3)
-    assert g.interlocked(c1, c3)
-
-
 def test_from_endpoint_order_validation():
     with pytest.raises(DiagramError):
         GaussDiagram.from_endpoint_order([(1, "T")], {1: 1})

@@ -110,6 +110,17 @@ def test_v2_mc_requires_long():
         v2_mc(polyknot_from_braid([1, 1, 1], closed=True), 1000, seed=0)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_counts_below_one_are_rejected(count):
+    tref = polyknot_from_braid([1, 1, 1], closed=False)
+    with pytest.raises(ValueError, match="at least 1"):
+        v2_mc(tref, count)
+    with pytest.raises(ValueError, match="at least 1"):
+        v2_mc_series(tref, [count, 1000])
+    with pytest.raises(ValueError, match="at least 1"):
+        linking_mc(HOPF_A, HOPF_B, count)
+
+
 # -- the shared polygon primitives against the copies they replaced ---------
 
 def _all_pairs_lk(a, b, shear):

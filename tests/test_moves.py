@@ -63,6 +63,13 @@ def test_random_realizable_deterministic():
     assert a.serialize() == b.serialize()
 
 
+def test_moves_on_the_empty_word_keep_one_component():
+    # a letter pair on the one-strand empty word closes to two components
+    for seed in range(20):
+        g = random_realizable(seed, 0, 6)
+        assert v2_gauss(g) == v2_skein(g) == 0 and arf(g) == 0
+
+
 def test_move_invariance_battery():
     for seed in range(30):
         rng = random.Random(seed)

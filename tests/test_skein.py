@@ -1,8 +1,7 @@
 import pytest
 
 from casson.diagram import from_braid_word, parse_gauss_code
-from casson.skein import (descend, is_descending, lk_smoothed,
-                          lk_smoothed_two_color, v2_skein)
+from casson.skein import _interlock_scan, descend, is_descending, v2_skein
 from casson.invariants import v2_gauss
 
 
@@ -31,10 +30,12 @@ def test_lk_two_ways_agree(diagram_corpus):
 
 def test_lk_two_ways_on_first_flip(trefoil):
     # the first chord met at its head satisfies the closed form directly
+    v = trefoil.index_view
     for _, c, kind in trefoil.endpoints():
         if kind == "H":
-            assert lk_smoothed(trefoil, c.id) == \
-                lk_smoothed_two_color(trefoil, c.id)
+            crossings, lk = _interlock_scan(v.tail, v.head, v.sign,
+                                            trefoil.chords.index(c))
+            assert crossings == 2 * lk
             break
 
 
@@ -99,14 +100,14 @@ def test_descend_equals_per_flip_rebuild(diagram_corpus):
 
 def test_lk_wrappers_match_reference(diagram_corpus):
     for g in diagram_corpus[:30]:
-        for c in g.chords:
+        v = g.index_view
+        for i, c in enumerate(g.chords):
             lo, hi = min(c.tail, c.head), max(c.tail, c.head)
             cross = [o for o in g.chords if o.id != c.id
                      and (lo < o.tail < hi) != (lo < o.head < hi)]
-            assert lk_smoothed(g, c.id) == \
-                sum(o.sign for o in cross if o.head > c.tail)
-            assert lk_smoothed_two_color(g, c.id) == \
-                Fraction(sum(o.sign for o in cross), 2)
+            assert _interlock_scan(v.tail, v.head, v.sign, i) == \
+                (sum(o.sign for o in cross),
+                 sum(o.sign for o in cross if o.head > c.tail))
 
 
 def test_skein_checks_every_flip_without_the_bracket(monkeypatch,
@@ -115,7 +116,6 @@ def test_skein_checks_every_flip_without_the_bracket(monkeypatch,
         raise AssertionError("v2_skein called the bracket kernel")
 
     monkeypatch.setattr(casson.pairing, "_interlock_sum", forbidden)
-    monkeypatch.setattr(casson.pairing, "_enumerate", forbidden)
     calls = []
     scan = casson.skein._interlock_scan
 

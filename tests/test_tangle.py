@@ -2,9 +2,20 @@ import pytest
 
 from casson.diagram import GaussDiagram
 from casson.invariants import v2_gauss
-from casson.tangle import (TREFOIL_TANGLE, TangleError, associator_stats,
-                           gauss_of_tangle, parse_tangle, random_tangle_word,
-                           v2_natangle, v2_natangle_closed)
+from casson.tangle import (TangleError, associator_stats, gauss_of_tangle,
+                           parse_tangle, random_tangle_word, v2_natangle,
+                           v2_natangle_closed)
+
+# the long trefoil as a tangle word, Gauss code O1+U2+O3+U1+O2+U3+
+TREFOIL_TANGLE = """\
+MIN@2:u
+A@1:R
+X@1:+:o
+X@1:+:o
+X@1:+:o
+A@1:L
+MAX@2:u
+"""
 
 
 def test_trefoil_fixture():
