@@ -107,7 +107,7 @@ def _build_input(kind: str, payload: str) -> tuple[GaussDiagram, object]:
             return gauss_of_tangle(word), word
     except GenericityError as exc:
         raise CliError(f"input fails genericity: {exc}", EXIT_VALIDATION)
-    except (DiagramError, TangleError, ValueError) as exc:
+    except (DiagramError, TangleError, ValueError, OSError) as exc:
         what = "tangle input as a long knot" if kind == "tangle" \
             else f"{kind} input"
         raise CliError(f"cannot parse {what}: {exc}", EXIT_PARSE)
@@ -284,7 +284,7 @@ def ingest_csv(path: str) -> list[dict]:
 def _cmd_batch(args) -> int:
     try:
         records = ingest_csv(args.table)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CliError(f"unreadable table: {exc}", EXIT_PARSE)
     out = []
     any_disagree = False

@@ -312,17 +312,16 @@ def braid_closure_components(letters: list[int], strands: int) -> int:
     return comps
 
 
-def from_braid_word(word: str | list[int], strands: int | None = None) -> GaussDiagram:
+def from_braid_word(word: str | list[int]) -> GaussDiagram:
     """Long based Gauss diagram of the closure of a braid word, cut on strand 1.
 
-    The word is over generators ``s1 .. s(k-1)`` and inverses (``-s2``); a
-    positive letter crosses the strand entering at position i over the one at
-    position i+1.  The closure must be a single component.
+    The word is over generators ``s1 .. s(k-1)`` and inverses (``-s2``), where
+    k is one more than the largest generator index; a positive letter crosses
+    the strand entering at position i over the one at position i+1.  The
+    closure must be a single component.
     """
     letters = parse_braid_tokens(word) if isinstance(word, str) else list(word)
-    k = strands or (max((abs(a) for a in letters), default=0) + 1)
-    if any(abs(a) >= k for a in letters):
-        raise DiagramError("generator index exceeds strand count")
+    k = max((abs(a) for a in letters), default=0) + 1
     if braid_closure_components(letters, k) != 1:
         raise DiagramError("braid closure has more than one component")
 

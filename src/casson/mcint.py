@@ -56,8 +56,9 @@ class McEstimate:
     seed: int
     rejected: int = 0
 
-    def within(self, target: float, k_sigma: float = 3.0) -> bool:
-        return abs(self.value - target) <= k_sigma * max(self.std_error, 1e-12)
+    def within(self, target: float) -> bool:
+        """Whether target lies within three standard errors of the value."""
+        return abs(self.value - target) <= 3.0 * max(self.std_error, 1e-12)
 
 
 def _rng(seed: int, stream: int, chunk: int) -> np.random.Generator:

@@ -163,18 +163,15 @@ def _triple_sites(word: list[int]) -> list[tuple[int, tuple]]:
 
 
 class MoveEngine:
-    """Random-move driver holding either a braid word or a bare diagram.
+    """Random-move driver that starts from a braid word.
 
     Word-level moves apply while the word form is retained; once a
-    diagram-only move runs, the engine stays in diagram form.
+    diagram-only move runs, the engine holds a bare diagram from then on.
     """
 
-    def __init__(self, word: list[int] | None = None,
-                 diagram: GaussDiagram | None = None):
-        if (word is None) == (diagram is None):
-            raise ValueError("exactly one of word/diagram required")
+    def __init__(self, word: list[int]):
         self.word = word
-        self._diagram = diagram
+        self._diagram = None
 
     def diagram(self) -> GaussDiagram:
         if self.word is not None:
@@ -247,25 +244,18 @@ class MoveEngine:
         return self._diagram_move(rng)
 
 
-def random_braid_word(rng: random.Random, n_letters: int,
-                      strands: int | None = None) -> list[int]:
+def random_braid_word(rng: random.Random, n_letters: int) -> list[int]:
     """Random braid word whose closure is a single component.
 
-    The strand count must satisfy strands - 1 == n_letters mod 2, since a
-    k-cycle permutation has the parity of k - 1; an incompatible explicit
-    strand count is rejected up front rather than looping forever.
+    The strand count k, from 2 to 4, is drawn among those with
+    k - 1 == n_letters mod 2, since a k-cycle permutation has the parity of
+    k - 1; words on k strands are then drawn until one closes to a knot.
     """
     if n_letters == 0:
         return []
-    if strands is None:
-        candidates = [k for k in range(2, min(4, n_letters + 1) + 1)
-                      if (k - 1) % 2 == n_letters % 2]
-        k = rng.choice(candidates)
-    else:
-        k = strands
-        if (k - 1) % 2 != n_letters % 2:
-            raise ValueError(f"no single-component closure with {k} strands "
-                             f"and {n_letters} letters")
+    candidates = [k for k in range(2, min(4, n_letters + 1) + 1)
+                  if (k - 1) % 2 == n_letters % 2]
+    k = rng.choice(candidates)
     while True:
         w = [rng.choice((1, -1)) * rng.randint(1, k - 1) for _ in range(n_letters)]
         if braid_closure_components(w, k) == 1:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import GaussDiagram
-from .invariants import cross_sign, v2_closed, v2_gauss, v2_long, x_counts
+from .invariants import _sign, cross_sign, v2_closed, v2_gauss, v2_long, x_counts
 from .pairing import XUP, XFB, XFWD, XBWD, X_ALL, PatternCombination, bracket
 
 __all__ = [
@@ -63,7 +63,7 @@ def _frac(v) -> Fraction:
         raise ValueError(f"coordinate {v!r} is not a number")
     try:
         return Fraction(v)
-    except (TypeError, OverflowError) as exc:
+    except (TypeError, OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"coordinate {v!r} is not a finite rational") from exc
 
 
@@ -71,10 +71,6 @@ def _vertex(v) -> tuple[Fraction, Fraction, Fraction]:
     if not isinstance(v, (list, tuple)) or len(v) != 3:
         raise ValueError(f"vertex {v!r} is not a list of 3 coordinates")
     return tuple(_frac(c) for c in v)
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _cross(a, b) -> Fraction:
@@ -164,11 +160,8 @@ def _crossing(e, f, i, j, seen):
     z2 = c[2] + u * (d[2] - c[2])
     if z1 == z2:
         raise GenericityError(f"double point at {p} with equal heights")
-    eps = cross_sign(r, s)
-    over_first = z1 > z2
     return Crossing(t1=i + t, t2=j + u, point=p, d1=r, d2=s,
-                    over_first=over_first, eps=eps,
-                    writhe=eps if over_first else -eps)
+                    over_first=z1 > z2, eps=cross_sign(r, s))
 
 
 def _check_long_ends(first, last) -> None:
@@ -233,8 +226,7 @@ class Crossing:
 
     t1 < t2 are the two passage parameters (edge index + fraction along the
     edge); d1, d2 the corresponding 2D direction vectors; eps is the
-    intersection number of the branches taken in source order; writhe is the
-    crossing sign of the resolved knot diagram.
+    intersection number of the branches taken in source order.
     """
 
     t1: Fraction
@@ -244,7 +236,6 @@ class Crossing:
     d2: tuple[Fraction, Fraction]
     over_first: bool
     eps: int
-    writhe: int
 
 
 class PlaneCurve:
@@ -291,9 +282,6 @@ class PlaneCurve:
             raise GenericityError("two vertices share a y-coordinate")
         if self.shape == "long":
             _check_long_ends(self.points[1], self.points[-2])
-        for a, b in self._edges():
-            if a[1] == b[1]:
-                raise GenericityError(f"horizontal edge at y={a[1]}")
         for vi, d_in, d_out in self._dirs:
             if _sign(d_in[1]) != _sign(d_out[1]) and _cross(d_in, d_out) == 0:
                 raise GenericityError(f"degenerate extremum at vertex {vi}")
@@ -330,8 +318,7 @@ class PlaneCurve:
         return crossings
 
     def _validate_levels(self):
-        levels = [self.points[vi][1] for vi, di, do in self._dirs
-                  if _sign(di[1]) != _sign(do[1])]
+        levels = [p[1] for _, p, _, _ in self.extrema()]
         levels += [c.point[1] for c in self.crossings]
         if len(set(levels)) != len(levels):
             raise GenericityError("two critical points share a level")
@@ -446,14 +433,9 @@ def morse_stats(curve: PlaneCurve) -> MorseStats:
             # the halves before and after vertex vi, edges 0..vi-1 and vi..
             pre = _ray_prefix(edges, p)
             idx_in, idx_out = pre[vi], pre[-1] - pre[vi]
-            # which half approaches p from the right: compare the branch
-            # x-offsets at the test level just inside the extremum
-            d_in = (p[0] - curve.points[vi - 1][0], p[1] - curve.points[vi - 1][1])
-            nxt = curve.points[vi + 1]
-            d_out = (nxt[0] - p[0], nxt[1] - p[1])
-            eta = 1 if kind == "min" else -1
-            in_is_right = eta * Fraction(d_in[0], d_in[1]) > \
-                eta * Fraction(d_out[0], d_out[1])
+            # the incoming half approaches p from the right exactly when the
+            # curve turns counterclockwise at a maximum, clockwise at a minimum
+            in_is_right = turn == (1 if kind == "max" else -1)
             i_r, i_l = (idx_in, idx_out) if in_is_right else (idx_out, idx_in)
             I_r += turn * i_r
             I_l += turn * i_l
@@ -521,8 +503,7 @@ def _shear_point(x, y, z):
     return (Fraction(x), Fraction(y) + _SHEAR * Fraction(x), Fraction(z))
 
 
-def polyknot_from_braid(word: list[int], strands: int | None = None,
-                        closed: bool = False) -> PolyKnot:
+def polyknot_from_braid(word: list[int], closed: bool = False) -> PolyKnot:
     """Exact polygonal realization of a braid closure.
 
     Strands run upward through unit strips, one braid letter per strip;
@@ -532,13 +513,12 @@ def polyknot_from_braid(word: list[int], strands: int | None = None,
     horizontal edges, which keeps all intersections unchanged (shearing is
     linear) while making every vertex level distinct.
 
-    For the long version the outermost closure arc is cut and both ends run
+    The braid has one strand more than its largest generator index.  For
+    the long version the outermost closure arc is cut and both ends run
     along the vertical axis, so the braid must close to a single component.
     """
-    k = strands or (max((abs(a) for a in word), default=0) + 1)
+    k = max((abs(a) for a in word), default=0) + 1
     L = len(word)
-    if k < 1:
-        raise ValueError("need at least one strand")
 
     # per-pass geometry: points of the strand starting at bottom position p
     def pass_points(p_start):

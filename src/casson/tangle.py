@@ -451,8 +451,6 @@ def v2_natangle_closed(word: TangleWord) -> int:
     return v2_closed("v2_natangle_closed", b_all, st.N_total, st.X, st.M)
 
 
-# Long trefoil as a cut-open 2-strand braid closure: cup for the return
-# arc's bottom, rebracket, three positive crossings, rebracket, cap.
 def _sibling_pairs(tree: _StrandTree):
     """(position, left leaf, right leaf, parent) for bracket-sibling leaves."""
     out = []

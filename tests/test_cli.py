@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -161,6 +162,8 @@ MALFORMED_POLYKNOTS = {
         '{"shape":"long","vertices":[[0,0,0],[1e400,1,1],[0,2,0]]}',
     "four_coordinates":
         '{"shape":"long","vertices":[[0,0,0,5],[1,1,1],[0,2,0]]}',
+    "zero_denominator":
+        '{"shape":"long","vertices":[[0,0,0],[1,1,"1/0"],[0,2,0]]}',
 }
 
 
@@ -181,6 +184,43 @@ def test_integrate_malformed_polyknot(text, tmp_path, capsys):
         == EXIT_PARSE
     err = capsys.readouterr().err
     assert "cannot read" in err and len(err.strip().splitlines()) == 1
+
+
+def test_unreadable_input_path(tmp_path, capsys):
+    for flag in ("--polyknot", "--tangle"):
+        assert main(["v2", flag, str(tmp_path)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.strip().splitlines()) == 1
+        assert "cannot parse" in err
+
+
+def test_batch_records_bad_input_rows(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows([
+            ["zero", "polyknot", MALFORMED_POLYKNOTS["zero_denominator"]],
+            ["dir", "polyknot", str(tmp_path)],
+            ["tref", "braid", "s1 s1 s1"],
+        ])
+    code, out = run(capsys, "batch", str(table))
+    assert code == 0
+    zero, folder, tref = out["records"]
+    assert "not a finite rational" in zero["error"]
+    assert "cannot parse polyknot input" in folder["error"]
+    assert tref["v2"] == 1
+
+
+@pytest.mark.parametrize("content", [
+    b"name,kind,payload\ntref,braid,s1 \xff\n",
+    b"tref,braid," + b"1 " * 70_000 + b"\n",
+], ids=["not_utf8", "oversized_field"])
+def test_batch_unreadable_table(content, tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_bytes(content)
+    assert main(["batch", str(table)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "unreadable table" in err
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from casson.diagram import DiagramError, from_braid_word
+from casson.diagram import DiagramError
 from casson.invariants import arf, v2_gauss
 from casson.moves import (MoveEngine, MoveSite, apply, r1_removal_sites,
                           r2_removal_sites, random_braid_word,
@@ -52,11 +52,6 @@ def test_random_braid_word_parity():
         assert (k - 1) % 2 == n % 2
 
 
-def test_random_braid_word_incompatible_strands():
-    with pytest.raises(ValueError):
-        random_braid_word(random.Random(0), 4, strands=2)
-
-
 def test_random_realizable_deterministic():
     a = random_realizable(7, 10, 5)
     b = random_realizable(7, 10, 5)
@@ -90,10 +85,3 @@ def test_moves_preserve_skein_oracle():
         for _ in range(8):
             engine.random_move(rng)
         assert v2_skein(engine.diagram()) == ref
-
-
-def test_engine_requires_exactly_one_state():
-    with pytest.raises(ValueError):
-        MoveEngine()
-    with pytest.raises(ValueError):
-        MoveEngine(word=[1, 1, 1], diagram=from_braid_word([1, 1, 1]))

@@ -197,8 +197,7 @@ def _all_pairs_crossings(curve):
             eps = _sign(_cross(r, s))
             over_first = z1 > z2
             crossings.append(Crossing(t1=i + t, t2=j + u, point=p, d1=r, d2=s,
-                                      over_first=over_first, eps=eps,
-                                      writhe=eps if over_first else -eps))
+                                      over_first=over_first, eps=eps))
     crossings.sort(key=lambda c: c.t1)
     return crossings
 
