@@ -28,6 +28,8 @@ __all__ = [
     "EndpointIndex",
     "parse_gauss_code",
     "parse_pd_code",
+    "braid_strands",
+    "closure_walk",
     "from_braid_word",
     "torus_knot_2",
 ]
@@ -294,6 +296,15 @@ def parse_braid_tokens(word: str) -> list[int]:
     return letters
 
 
+def braid_strands(letters: list[int]) -> int:
+    """Strand count of a braid word: one more than its largest generator
+    index.  Every letter must be a nonzero int."""
+    for a in letters:
+        if type(a) is not int or a == 0:
+            raise DiagramError(f"braid letter {a!r} is not a nonzero integer")
+    return max(map(abs, letters), default=0) + 1
+
+
 def braid_closure_components(letters: list[int], strands: int) -> int:
     """Number of components of the closure of the braid word."""
     perm = list(range(strands))
@@ -312,32 +323,53 @@ def braid_closure_components(letters: list[int], strands: int) -> int:
     return comps
 
 
+def closure_walk(letters: list[int]) -> list[list[int]]:
+    """Walk the closure of a braid word once around, from strand 1 at the bottom.
+
+    Returns one list per pass through the braid: the walked strand's
+    0-based position before each letter and after the last one.  Each pass
+    starts where the previous one ended, and the walk stops back at
+    position 0; the closure is a knot exactly when that takes
+    `braid_strands(letters)` passes.  Position 0 moves only along the
+    letters' transpositions, so the walk stops within len(letters) + 1
+    passes, whatever the generator indices: nothing is kept per strand.
+    """
+    k = braid_strands(letters)
+    walk = []
+    pos = 0
+    while True:
+        path = [pos]
+        for a in letters:
+            i = abs(a) - 1
+            if pos == i:
+                pos = i + 1
+            elif pos == i + 1:
+                pos = i
+            path.append(pos)
+        walk.append(path)
+        if pos == 0:
+            break
+    if len(walk) != k:
+        raise DiagramError("braid closure has more than one component")
+    return walk
+
+
 def from_braid_word(word: str | list[int]) -> GaussDiagram:
     """Long based Gauss diagram of the closure of a braid word, cut on strand 1.
 
     The word is over generators ``s1 .. s(k-1)`` and inverses (``-s2``), where
     k is one more than the largest generator index; a positive letter crosses
     the strand entering at position i over the one at position i+1.  The
-    closure must be a single component.
+    endpoints are read off `closure_walk`, which rejects a closure that is
+    not a single component.
     """
     letters = parse_braid_tokens(word) if isinstance(word, str) else list(word)
-    k = max((abs(a) for a in letters), default=0) + 1
-    if braid_closure_components(letters, k) != 1:
-        raise DiagramError("braid closure has more than one component")
-
     order: list[tuple[int, str]] = []
-    pos = 0  # start on strand 1 (0-based position), base point below the braid
-    for _ in range(k):
-        for ci, a in enumerate(letters, start=1):
-            i = abs(a) - 1
-            if pos == i:
-                over = a > 0
-                order.append((ci, "T" if over else "H"))
-                pos = i + 1
-            elif pos == i + 1:
-                over = a < 0
-                order.append((ci, "T" if over else "H"))
-                pos = i
+    for path in closure_walk(letters):
+        for ci, (a, here, there) in enumerate(zip(letters, path, path[1:]),
+                                              start=1):
+            if here != there:
+                order.append((ci, "T" if (a > 0) == (there > here) else "H"))
     signs = {ci: (1 if a > 0 else -1) for ci, a in enumerate(letters, start=1)}
     return GaussDiagram.from_endpoint_order(order, signs, shape="long")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 from .diagram import (DiagramError, GaussDiagram, braid_closure_components,
-                      from_braid_word)
+                      braid_strands, from_braid_word)
 
 __all__ = [
     "MoveSite",
@@ -180,7 +180,7 @@ class MoveEngine:
 
     def _word_move(self, rng: random.Random) -> str | None:
         w = self.word
-        k = max((abs(a) for a in w), default=0) + 1
+        k = braid_strands(w)
         # on the empty word (one strand) a letter pair closes to two
         # components, so only a stabilization keeps a knot
         choices = ["r2_word", "conjugate", "stabilize"] if w else ["stabilize"]

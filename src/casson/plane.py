@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagram import GaussDiagram
+from .diagram import GaussDiagram, closure_walk
 from .invariants import _sign, cross_sign, v2_closed, v2_gauss, v2_long, x_counts
 from .pairing import XUP, XFB, XFWD, XBWD, X_ALL, PatternCombination, bracket
 
@@ -513,61 +513,31 @@ def polyknot_from_braid(word: list[int], closed: bool = False) -> PolyKnot:
     horizontal edges, which keeps all intersections unchanged (shearing is
     linear) while making every vertex level distinct.
 
-    The braid has one strand more than its largest generator index.  For
-    the long version the outermost closure arc is cut and both ends run
-    along the vertical axis, so the braid must close to a single component.
+    The vertices follow `diagram.closure_walk`, which rejects a braid that
+    does not close to a single component: each pass through the braid is
+    followed by the closure arc from its top position back to the bottom.
+    For the long version the last pass ends at the top of strand 1, so the
+    outermost closure arc is cut and both ends run along the vertical axis.
     """
-    k = max((abs(a) for a in word), default=0) + 1
-    L = len(word)
-
-    # per-pass geometry: points of the strand starting at bottom position p
-    def pass_points(p_start):
-        pts = [(Fraction(p_start), Fraction(0), Fraction(0))]
-        pos = p_start
-        for t, letter in enumerate(word):
-            i = abs(letter) - 1
-            x = Fraction(pos)
-            if pos in (i, i + 1):
-                x2 = Fraction(i + 1 if pos == i else i)
-                entering_i = pos == i + 1
-                over = entering_i if letter > 0 else not entering_i
-                zq = Fraction(1) if over else Fraction(-1)
-                pts.append((x + (x2 - x) / 4, Fraction(t) + Fraction(1, 4), zq))
-                pts.append((x + 3 * (x2 - x) / 4, Fraction(t) + Fraction(3, 4), zq))
-                pts.append((x2, Fraction(t + 1), Fraction(0)))
-                pos = int(x2)
-            else:
-                pts.append((x, Fraction(t + 1), Fraction(0)))
-        return pts, pos
-
-    def closure_arc(p_top):
-        """Arc from top position p_top back to bottom position p_top."""
-        o = k - p_top
-        h = Fraction(L + o)
-        b = Fraction(-o)
-        xr = Fraction(k - 1 + o)
-        xp = Fraction(p_top)
-        return [(xp, h, Fraction(0)), (xr, h, Fraction(0)),
-                (xr, b, Fraction(0)), (xp, b, Fraction(0))]
-
+    walk = closure_walk(word)
+    k = len(walk)
     pts = []
-    p = 0
-    passes = 0
-    while True:
-        body, p_top = pass_points(p)
-        pts.extend(body)
-        passes += 1
-        if p_top == 0 and not closed:
-            break
-        pts.extend(closure_arc(p_top))
-        p = p_top
-        if closed and p == 0:
-            break
-        if passes > k:
-            raise ValueError("braid closure traversal did not close")
-    if passes != k:
-        raise ValueError(
-            f"braid closure has {k - passes + 1} components, need 1")
+    for path in walk:
+        pts.append((path[0], 0, 0))
+        for t, (letter, x, x2) in enumerate(zip(word, path, path[1:])):
+            if x == x2:
+                pts.append((x, t + 1, 0))
+                continue
+            z = 1 if (letter > 0) == (x2 < x) else -1
+            step = Fraction(x2 - x, 4)
+            pts += [(x + step, t + Fraction(1, 4), z),
+                    (x + 3 * step, t + Fraction(3, 4), z), (x2, t + 1, 0)]
+        top = path[-1]
+        if closed or top != 0:
+            # closure arc from top position `top` back to bottom position `top`
+            o = k - top
+            h, b, xr = len(word) + o, -o, k - 1 + o
+            pts += [(top, h, 0), (xr, h, 0), (xr, b, 0), (top, b, 0)]
     sheared = [_shear_point(*q) for q in pts]
     # shear leaves x=0 points on the axis, so the long-knot endpoints stay put
     return PolyKnot(tuple(sheared), shape="long" if not closed else "closed")

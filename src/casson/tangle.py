@@ -25,9 +25,11 @@ Grammar (one event per line, bottom to top, 1-based positions):
     A@i:L|R     associator on strands i, i+1, i+2; L turns ((a b) c) into
                 (a (b c)), R the other way
 
-The bracketing is one binary tree (`_StrandTree`) shared by the tracer,
-which validates each event before applying it, and the random generator,
-which applies only legal moves.  Every node keeps a parent pointer and the
+The bracketing is one binary tree (`_StrandTree`) shared by the tracer
+and the random generator, and `_StrandTree.illegal` is the one rule for
+which event may run next: the tracer raises its reason for the first event
+that fails it, and the generator proposes only events that pass it, so
+every generated word traces.  Every node keeps a parent pointer and the
 tree keeps its leaves (the strands) in a list in left-to-right order, so
 finding the strands at a position, the sibling and associator tests and
 the tree surgery of each move take O(1) steps; a cup or a cap also edits
@@ -177,7 +179,7 @@ class _Node:
 class _StrandTree:
     """Bracketed strand sequence: a binary tree with parent pointers and
     its leaves in left-to-right order.  Positions here are 0-based, and
-    `apply` does not check legality: its callers do."""
+    `apply` does not check legality: `illegal` does."""
 
     def __init__(self, shape: str):
         self.root = _Leaf("u", deque()) if shape == "long" else None
@@ -196,6 +198,41 @@ class _StrandTree:
         p = inner.parent
         return p is not None and p is b.parent and p.parent is not None \
             and p.parent is outer.parent
+
+    def illegal(self, ev: Event, final: bool, long_shape: bool) -> str | None:
+        """Why `ev` cannot run next, or None when it can; `final` says it
+        would be the word's last event.  A crossing's declared sign is the
+        tracer's to check, since only the tracer reads it."""
+        k = len(self.leaves)
+        i = ev.pos - 1
+        if ev.kind == "min":
+            return None if 1 <= ev.pos <= k + 1 else \
+                f"MIN position {ev.pos} out of range 1..{k + 1}"
+        if self.root is None:
+            return "no strands present"
+        if ev.kind == "assoc":
+            if not 1 <= ev.pos <= k - 2:
+                return f"A position {ev.pos} needs three strands"
+            if not self.assoc_ok(i, ev.side):
+                return "A:L needs ((a b) c) shape" if ev.side == "L" else \
+                    "A:R needs (a (b c)) shape"
+            return None
+        name = "MAX" if ev.kind == "max" else "X"
+        if not 1 <= ev.pos <= k - 1:
+            return f"{name} position {ev.pos} out of range"
+        if self.siblings(i) is None:
+            return f"strands {ev.pos},{ev.pos + 1} are not bracket siblings"
+        if ev.kind == "cross":
+            return None
+        a, b = self.leaves[i], self.leaves[i + 1]
+        if a.orient == b.orient:
+            return "cap on equally oriented strands"
+        if ev.orient != a.orient:
+            return (f"MAX annotation {ev.orient!r} does not match left "
+                    f"strand {a.orient!r}")
+        if a.piece is b.piece and (long_shape or k > 2 or not final):
+            return "cap closes off a separate component"
+        return None
 
     def _hang(self, node, parent, old):
         """Hang node below parent (at the root if None) where old hung."""
@@ -277,54 +314,22 @@ def _push(leaf: _Leaf, record):
 
 
 def _trace(word: TangleWord):
-    """Validate each event on the strand tree and apply it, recording the
-    passages of crossings and associators; then flatten the source."""
+    """Check each event with `_StrandTree.illegal` (and a crossing's
+    declared sign) and apply it, recording the passages of crossings and
+    associators; then flatten the source."""
     long_shape = word.shape == "long"
     tree = _StrandTree(word.shape)
     leaves = tree.leaves
     last = len(word.events) - 1
 
     for step, ev in enumerate(word.events):
-        k = len(leaves)
+        reason = tree.illegal(ev, step == last, long_shape)
+        if reason is not None:
+            raise TangleError(f"event {step}: {reason}")
         i = ev.pos - 1
-
-        if ev.kind == "min":
-            if not 1 <= ev.pos <= k + 1:
-                raise TangleError(f"event {step}: MIN position {ev.pos} "
-                                  f"out of range 1..{k + 1}")
-        elif tree.root is None:
-            raise TangleError(f"event {step}: no strands present")
-
-        elif ev.kind == "max":
-            if not 1 <= ev.pos <= k - 1:
-                raise TangleError(f"event {step}: MAX position {ev.pos} "
-                                  f"out of range")
-            parent = tree.siblings(i)
-            if parent is None:
-                raise TangleError(f"event {step}: strands {ev.pos},{ev.pos + 1} "
-                                  f"are not bracket siblings")
-            a, b = leaves[i], leaves[i + 1]
-            if a.orient == b.orient:
-                raise TangleError(f"event {step}: cap on equally oriented strands")
-            if ev.orient != a.orient:
-                raise TangleError(f"event {step}: MAX annotation {ev.orient!r} "
-                                  f"does not match left strand {a.orient!r}")
-            if a.piece is b.piece:
-                if long_shape or k > 2 or step != last:
-                    raise TangleError(f"event {step}: cap closes off a "
-                                      f"separate component")
-                word.source = list(a.piece)
-            elif parent.parent is None:
-                raise TangleError(f"event {step}: cap would leave no strands"
-                                  if long_shape else
-                                  f"event {step}: final cap must close the loop")
-
+        if ev.kind == "max" and leaves[i].piece is leaves[i + 1].piece:
+            word.source = list(leaves[i].piece)
         elif ev.kind == "cross":
-            if not 1 <= ev.pos <= k - 1:
-                raise TangleError(f"event {step}: X position {ev.pos} out of range")
-            if tree.siblings(i) is None:
-                raise TangleError(f"event {step}: strands {ev.pos},{ev.pos + 1} "
-                                  f"are not bracket siblings")
             a, b = leaves[i], leaves[i + 1]
             d_over, d_under = _cross_dirs(a, b, ev.left_over)
             writhe = cross_sign(d_over, d_under)
@@ -337,25 +342,13 @@ def _trace(word: TangleWord):
             _push(over, (cid, "T"))
             _push(under, (cid, "H"))
             word.crossings[cid] = _CrossRec(cid, writhe, d_over, d_under)
-
         elif ev.kind == "assoc":
-            if not 1 <= ev.pos <= k - 2:
-                raise TangleError(f"event {step}: A position {ev.pos} "
-                                  f"needs three strands")
-            if not tree.assoc_ok(i, ev.side):
-                raise TangleError(f"event {step}: A:L needs ((a b) c) shape"
-                                  if ev.side == "L" else
-                                  f"event {step}: A:R needs (a (b c)) shape")
             aid = len(word.assocs) + 1
             strands = leaves[i:i + 3]
             for branch, s in enumerate(strands, start=1):
                 _push(s, ("A", aid, branch))
             word.assocs[aid] = _AssocRec(
                 aid, ev.side, sum(1 for s in strands if s.orient == "u"))
-
-        else:
-            raise TangleError(f"event {step}: unknown kind {ev.kind!r}")
-
         tree.apply(ev)
 
     if long_shape:
@@ -452,13 +445,10 @@ def v2_natangle_closed(word: TangleWord) -> int:
 
 
 def _sibling_pairs(tree: _StrandTree):
-    """(position, left leaf, right leaf, parent) for bracket-sibling leaves."""
-    out = []
-    for i in range(len(tree.leaves) - 1):
-        parent = tree.siblings(i)
-        if parent is not None:
-            out.append((i + 1, tree.leaves[i], tree.leaves[i + 1], parent))
-    return out
+    """(position, left leaf, right leaf) for bracket-sibling leaves."""
+    return [(i + 1, tree.leaves[i], tree.leaves[i + 1])
+            for i in range(len(tree.leaves) - 1)
+            if tree.siblings(i) is not None]
 
 
 def _assoc_sites(tree: _StrandTree):
@@ -473,14 +463,16 @@ def _cross_event(pos, a, b, left_over):
 
 
 def _attempt_random_events(rng: random.Random, n_events: int, shape: str):
-    """One attempt at a legal word; tree-level legality only (the final
-    trace still checks connectivity)."""
+    """One attempt at a legal word, or None at a dead end.  Every proposed
+    event passes `_StrandTree.illegal` (a cap is final only once the word
+    stops growing), and the attempt stops only once the word is closed."""
     tree = _StrandTree(shape)
+    long_shape = shape == "long"
     events = []
 
     for _ in range(6 * n_events + 60):
         k = len(tree.leaves)
-        done = (k == 1 and tree.root.orient == "u") if shape == "long" \
+        done = (k == 1 and tree.root.orient == "u") if long_shape \
             else (tree.root is None and events)
         grow = len(events) < n_events
         if done and not grow:
@@ -491,19 +483,12 @@ def _attempt_random_events(rng: random.Random, n_events: int, shape: str):
                 for o in "ud":
                     options.append(Event("min", i, orient=o))
         caps = []
-        for pos, a, b, parent in _sibling_pairs(tree):
+        for pos, a, b in _sibling_pairs(tree):
             options.append(_cross_event(pos, a, b, True))
             options.append(_cross_event(pos, a, b, False))
-            if a.orient != b.orient:
-                # never pinch off a separate component: cap only strands of
-                # distinct pieces, except the final closure of a closed word;
-                # likewise never cap the root pair of a long word
-                at_root = parent.parent is None
-                if a.piece is not b.piece and not (at_root and shape == "long"):
-                    caps.append(Event("max", pos, orient=a.orient))
-                elif a.piece is b.piece and shape == "closed" and k == 2 \
-                        and not grow:
-                    caps.append(Event("max", pos, orient=a.orient))
+            cap = Event("max", pos, orient=a.orient)
+            if tree.illegal(cap, not grow, long_shape) is None:
+                caps.append(cap)
         options.extend(caps)
         assoc = [Event("assoc", pos, side=side)
                  for pos, side in _assoc_sites(tree)]
@@ -524,17 +509,12 @@ def _attempt_random_events(rng: random.Random, n_events: int, shape: str):
 
 def random_tangle_word(seed: int, n_events: int = 12,
                        shape: str = "long") -> TangleWord:
-    """Deterministic random legal tangle word; retries dead ends and words
-    whose caps would pinch off a separate component."""
+    """Deterministic random legal tangle word; retries dead ends."""
     rng = random.Random(seed)
     for _ in range(500):
         events = _attempt_random_events(rng, n_events, shape)
-        if events is None:
-            continue
-        word = TangleWord(tuple(events), shape)
-        try:
+        if events is not None:
+            word = TangleWord(tuple(events), shape)
             _trace(word)
-        except TangleError:
-            continue
-        return word
+            return word
     raise RuntimeError(f"no legal tangle word found for seed {seed}")

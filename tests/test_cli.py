@@ -210,6 +210,31 @@ def test_batch_records_bad_input_rows(tmp_path, capsys):
     assert tref["v2"] == 1
 
 
+HUGE_INDEX_BRAID = "s1 s1000000000000000000"
+
+
+def test_huge_generator_index(capsys):
+    # more strands than letters + 1 cannot close to a knot; rejected before
+    # anything is allocated per strand
+    assert main(["v2", "--braid", HUGE_INDEX_BRAID, "--method", "all"]) \
+        == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "braid closure has more than one component" in err
+
+
+def test_batch_records_huge_generator_index(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows([["huge", "braid", HUGE_INDEX_BRAID],
+                                  ["tref", "braid", "s1 s1 s1"]])
+    code, out = run(capsys, "batch", str(table))
+    assert code == 0
+    huge, tref = out["records"]
+    assert "braid closure has more than one component" in huge["error"]
+    assert tref["v2"] == 1
+
+
 @pytest.mark.parametrize("content", [
     b"name,kind,payload\ntref,braid,s1 \xff\n",
     b"tref,braid," + b"1 " * 70_000 + b"\n",

@@ -1,8 +1,8 @@
 import pytest
 
 from casson.diagram import (Chord, DiagramError, GaussDiagram,
-                            braid_closure_components,
-                            from_braid_word, parse_gauss_code, parse_pd_code,
+                            braid_closure_components, braid_strands,
+                            closure_walk, from_braid_word, parse_gauss_code, parse_pd_code,
                             torus_knot_2)
 
 
@@ -55,6 +55,24 @@ def test_braid_multi_component_rejected():
     # two positive crossings on two strands close to a 2-component link
     with pytest.raises(DiagramError):
         from_braid_word([1, 1])
+
+
+def test_closure_walk_positions():
+    # the trefoil's closure passes the braid twice, swapping sides each letter
+    assert closure_walk([1, 1, 1]) == [[0, 1, 0, 1], [1, 0, 1, 0]]
+    assert closure_walk([]) == [[0]]
+    assert [path[-1] for path in closure_walk([1, 2])] == [2, 1, 0]
+
+
+@pytest.mark.parametrize("letter", [0, 1.0, True, "s1", None])
+def test_braid_strands_rejects_non_generators(letter):
+    with pytest.raises(DiagramError, match=f"braid letter {letter!r} "):
+        braid_strands([1, letter])
+
+
+def test_braid_strands():
+    assert braid_strands([]) == 1
+    assert braid_strands([1, -3, 2]) == 4
 
 
 def test_braid_closure_components():

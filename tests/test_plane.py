@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from unittest import mock
@@ -5,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casson.diagram import from_braid_word
+from casson.diagram import DiagramError, from_braid_word
 from casson.invariants import v2_gauss, x_counts
 from casson.moves import random_braid_word
 from casson.plane import (Crossing, GenericityError, PlaneCurve, PolyKnot,
@@ -424,3 +425,42 @@ def test_morse_stats_match_chain_counts():
         assert _stats_tuple(morse_stats(curve)) == _chain_morse_stats(curve)
         compared[kind] += 1
     assert min(compared.values()) >= 40
+
+
+def _braid_constructors_digest(seeds):
+    """SHA-256 over each random braid word, its long and closed polyknot
+    JSON and its Gauss code; the word has 1 + seed % 24 letters."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        word = random_braid_word(random.Random(seed), 1 + seed % 24)
+        h.update(repr(word).encode() + b"\0")
+        for closed in (False, True):
+            h.update(polyknot_from_braid(word, closed=closed).to_json().encode()
+                     + b"\0")
+        h.update(from_braid_word(word).serialize().encode() + b"\0")
+    return h.hexdigest()
+
+
+def test_braid_constructors_golden():
+    # digest of the two braid-closure constructors before they shared one
+    # walk; any change in a vertex, a crossing or the word draws shows here
+    assert _braid_constructors_digest(range(100)) == (
+        "b2909061a75645ad53579706e1348b9f1bd35ca67113f1b1ef2a8ef0f908e705")
+
+
+@pytest.mark.parametrize("word", [[1, 1], [2], [1, 3]])
+def test_braid_constructors_reject_links_alike(word):
+    with pytest.raises(DiagramError) as diagram_exc:
+        from_braid_word(word)
+    for closed in (False, True):
+        with pytest.raises(DiagramError) as plane_exc:
+            polyknot_from_braid(word, closed=closed)
+        assert str(plane_exc.value) == str(diagram_exc.value) \
+            == "braid closure has more than one component"
+
+
+def test_braid_constructors_name_a_zero_letter():
+    with pytest.raises(DiagramError, match="braid letter 0 "):
+        from_braid_word([0])
+    with pytest.raises(DiagramError, match="braid letter 0 "):
+        polyknot_from_braid([1, 0, 1])
