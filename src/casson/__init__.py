@@ -17,7 +17,7 @@ from .diagram import (Chord, DiagramError, DisagreementError, GaussDiagram,
                       torus_knot_2)
 from .invariants import (InvariantReport, arf, check_bound, crossing_bound,
                          report, v2_gauss, v2_sym)
-from .moves import MoveEngine, MoveSite, apply, random_realizable
+from .moves import MoveEngine, random_realizable
 from .pairing import (XBWD, XDOWN, XFWD, XUP, X_ALL, ArrowPattern,
                       PatternCombination, bracket, unsigned_match_count)
 from .plane import (GenericityError, PlaneCurve, PolyKnot, arnold_I,
@@ -34,7 +34,7 @@ __all__ = [
     "parse_gauss_code", "parse_pd_code", "torus_knot_2",
     "InvariantReport", "arf", "check_bound", "crossing_bound", "report",
     "v2_gauss", "v2_sym",
-    "MoveEngine", "MoveSite", "apply", "random_realizable",
+    "MoveEngine", "random_realizable",
     "XBWD", "XDOWN", "XFWD", "XUP", "X_ALL",
     "ArrowPattern", "PatternCombination", "bracket", "unsigned_match_count",
     "GenericityError", "PlaneCurve", "PolyKnot", "arnold_I",

@@ -165,14 +165,6 @@ class GaussDiagram:
         """Diagram of the mirror knot: every chord reversed, signs negated."""
         return GaussDiagram([c.reversed() for c in self.chords], shape=self.shape)
 
-    def with_base_point_moved(self, steps: int = 1) -> "GaussDiagram":
-        """Move the base point forward past `steps` endpoints."""
-        order = [(c.id, kind) for _, c, kind in self.endpoints()]
-        k = steps % max(len(order), 1) if order else 0
-        order = order[k:] + order[:k]
-        return GaussDiagram.from_endpoint_order(
-            order, {c.id: c.sign for c in self.chords}, shape=self.shape)
-
     def __repr__(self):
         return f"GaussDiagram({self.serialize()!r}, shape={self.shape!r})"
 
@@ -303,24 +295,6 @@ def braid_strands(letters: list[int]) -> int:
         if type(a) is not int or a == 0:
             raise DiagramError(f"braid letter {a!r} is not a nonzero integer")
     return max(map(abs, letters), default=0) + 1
-
-
-def braid_closure_components(letters: list[int], strands: int) -> int:
-    """Number of components of the closure of the braid word."""
-    perm = list(range(strands))
-    for a in letters:
-        i = abs(a) - 1
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    seen = [False] * strands
-    comps = 0
-    for s in range(strands):
-        if not seen[s]:
-            comps += 1
-            j = s
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return comps
 
 
 def closure_walk(letters: list[int]) -> list[list[int]]:

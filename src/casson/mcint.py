@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .plane import (GenericityError, PolyKnot, _box_pairs, _check_long_ends,
-                    _crossing)
+                    _crossing, _frac)
 
 __all__ = ["McEstimate", "linking_mc", "v2_mc", "v2_mc_series",
            "lk_combinatorial"]
@@ -224,9 +224,10 @@ def lk_combinatorial(loop1, loop2) -> int:
 
 
 def _distinct(loop):
-    """The loop's vertices as Fraction triples, without consecutive repeats
-    (the last vertex and the first are consecutive too)."""
-    pts = [tuple(Fraction(c) for c in p) for p in _vertices_of(loop)]
+    """The loop's vertices as Fraction triples (by `plane._frac`'s rule),
+    without consecutive repeats (the last vertex and the first are
+    consecutive too)."""
+    pts = [tuple(_frac(c) for c in p) for p in _vertices_of(loop)]
     return [p for k, p in enumerate(pts) if p != pts[k - 1]]
 
 

@@ -2,10 +2,14 @@
 
 Realizability is preserved by construction.  Word-level moves (braid
 relations, far commutation, conjugation, stabilization, trivial-pair
-insertion) rewrite a braid word whose closure is the knot; diagram-level
-moves are restricted to operations that are realizable on any diagram:
-kink insertion/removal anywhere, removal of an empty bigon (two crossings
-with adjacent endpoint pairs), a same-arc finger push, and base point moves.
+insertion) rewrite a braid word whose closure is the knot.  Diagram-level
+moves edit the endpoint order, a list of (chord id, 'T'|'H') tokens from
+the base point, and the chord signs, and are restricted to operations that
+are realizable on any diagram: inserting a kink (two adjacent tokens of a
+new chord) or a same-arc finger push (tokens c d d c of two new chords of
+opposite signs) at any slot, removing a kink or an empty bigon (two chords
+of opposite signs whose tokens are adjacent at both ends, one strand over
+both), and rotating the order, which moves the base point.
 
 Arbitrary-arc R2 insertion on the Gauss-diagram level is deliberately not
 offered: two arcs of a knot diagram admit a clean bigon between them only
@@ -15,128 +19,32 @@ when they border a common face, which the chord data alone cannot see.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Literal
 
-from .diagram import (DiagramError, GaussDiagram, braid_closure_components,
-                      braid_strands, from_braid_word)
+from .diagram import (DiagramError, GaussDiagram, braid_strands, closure_walk,
+                      from_braid_word)
 
-__all__ = [
-    "MoveSite",
-    "apply",
-    "r1_removal_sites",
-    "r2_removal_sites",
-    "MoveEngine",
-    "random_realizable",
-]
+__all__ = ["MoveEngine", "random_realizable"]
 
 
-@dataclass(frozen=True)
-class MoveSite:
-    """One applicable move: a kind tag plus location parameters.
-
-    kinds:
-      r1_insert   params slot, over ('T' first or 'H' first), sign
-      r1_remove   params chord_id
-      r2_remove   params chord ids (pair)
-      r2_finger   params slot, over (bool), sign (of the first crossing)
-      basepoint   params steps
-    """
-
-    kind: Literal["r1_insert", "r1_remove", "r2_remove", "r2_finger", "basepoint"]
-    params: dict = field(default_factory=dict)
+def _kinks(order: list[tuple[int, str]]) -> list[int]:
+    """Chords whose two endpoints are adjacent (not across the base point)."""
+    return [a for (a, _), (b, _) in zip(order, order[1:]) if a == b]
 
 
-def _endpoint_order(diagram: GaussDiagram) -> list[tuple[int, str]]:
-    return [(c.id, kind) for _, c, kind in diagram.endpoints()]
-
-
-def _fresh_ids(diagram: GaussDiagram, k: int) -> list[int]:
-    base = max((c.id for c in diagram.chords), default=0)
-    return [base + i + 1 for i in range(k)]
-
-
-def _rebuild(diagram: GaussDiagram, order, signs) -> GaussDiagram:
-    return GaussDiagram.from_endpoint_order(order, signs, shape=diagram.shape)
-
-
-def r1_removal_sites(diagram: GaussDiagram) -> list[MoveSite]:
-    """Chords with both endpoints adjacent (not across the base point)."""
-    order = _endpoint_order(diagram)
-    sites = []
-    for a, b in zip(order, order[1:]):
-        if a[0] == b[0]:
-            sites.append(MoveSite("r1_remove", {"chord_id": a[0]}))
-    return sites
-
-
-def r2_removal_sites(diagram: GaussDiagram) -> list[MoveSite]:
+def _bigons(order: list[tuple[int, str]],
+            signs: dict[int, int]) -> list[tuple[int, int]]:
     """Empty bigons: chord pairs adjacent at both ends, one strand over both,
     opposite signs."""
-    order = _endpoint_order(diagram)
     adj: dict[frozenset, list[tuple[str, str]]] = {}
     for (ida, ka), (idb, kb) in zip(order, order[1:]):
         if ida != idb:
             adj.setdefault(frozenset((ida, idb)), []).append((ka, kb))
-    sites = []
+    bigons = []
     for pair, contacts in adj.items():
-        if len(contacts) != 2:
-            continue
-        kinds0, kinds1 = set(contacts[0]), set(contacts[1])
-        if kinds0 == {"T"} and kinds1 == {"H"} or kinds0 == {"H"} and kinds1 == {"T"}:
-            a, b = sorted(pair)
-            if diagram.chord(a).sign != diagram.chord(b).sign:
-                sites.append(MoveSite("r2_remove", {"chords": (a, b)}))
-    return sites
-
-
-def apply(diagram: GaussDiagram, site: MoveSite) -> GaussDiagram:
-    """Apply a move site; raises DiagramError when the site is not valid."""
-    order = _endpoint_order(diagram)
-    signs = {c.id: c.sign for c in diagram.chords}
-
-    if site.kind == "basepoint":
-        return diagram.with_base_point_moved(site.params.get("steps", 1))
-
-    if site.kind == "r1_insert":
-        slot = site.params["slot"]
-        if not 0 <= slot <= len(order):
-            raise DiagramError(f"r1_insert slot {slot} out of range")
-        first = site.params.get("over", "T")
-        (cid,) = _fresh_ids(diagram, 1)
-        kink = [(cid, first), (cid, "H" if first == "T" else "T")]
-        signs[cid] = site.params.get("sign", 1)
-        return _rebuild(diagram, order[:slot] + kink + order[slot:], signs)
-
-    if site.kind == "r1_remove":
-        cid = site.params["chord_id"]
-        if not any(s.params["chord_id"] == cid for s in r1_removal_sites(diagram)):
-            raise DiagramError(f"chord {cid} is not a removable kink")
-        del signs[cid]
-        return _rebuild(diagram, [e for e in order if e[0] != cid], signs)
-
-    if site.kind == "r2_remove":
-        pair = tuple(sorted(site.params["chords"]))
-        if not any(tuple(sorted(s.params["chords"])) == pair
-                   for s in r2_removal_sites(diagram)):
-            raise DiagramError(f"chords {pair} do not form a removable bigon")
-        for cid in pair:
-            del signs[cid]
-        return _rebuild(diagram, [e for e in order if e[0] not in pair], signs)
-
-    if site.kind == "r2_finger":
-        slot = site.params["slot"]
-        if not 0 <= slot <= len(order):
-            raise DiagramError(f"r2_finger slot {slot} out of range")
-        over = site.params.get("over", True)
-        sign = site.params.get("sign", 1)
-        c, d = _fresh_ids(diagram, 2)
-        k1, k2 = ("T", "H") if over else ("H", "T")
-        ins = [(c, k1), (d, k1), (d, k2), (c, k2)]
-        signs[c], signs[d] = sign, -sign
-        return _rebuild(diagram, order[:slot] + ins + order[slot:], signs)
-
-    raise DiagramError(f"unknown move kind {site.kind!r}")
+        a, b = sorted(pair)
+        if sorted(contacts) == [("H", "H"), ("T", "T")] and signs[a] != signs[b]:
+            bigons.append((a, b))
+    return bigons
 
 
 # Word-level rewriting.  All four sign variants of the triple relation are
@@ -190,11 +98,11 @@ class MoveEngine:
             choices.append("commute")
         kind = rng.choice(choices)
         if kind == "r2_word":
-            g = rng.choice([g for i in range(1, k) for g in (i, -i)] or [1])
+            g = rng.choice([g for i in range(1, k) for g in (i, -i)])
             p = rng.randrange(len(w) + 1)
             self.word = w[:p] + [g, -g] + w[p:]
         elif kind == "conjugate":
-            g = rng.choice([g for i in range(1, k) for g in (i, -i)] or [1])
+            g = rng.choice([g for i in range(1, k) for g in (i, -i)])
             self.word = [g] + w + [-g]
         elif kind == "stabilize":
             self.word = w + [rng.choice([k, -k])]
@@ -212,30 +120,37 @@ class MoveEngine:
     def _diagram_move(self, rng: random.Random) -> str:
         g = self.diagram()
         self.word = None
-        nslots = 2 * g.n
+        order = [(c.id, kind) for _, c, kind in g.endpoints()]
+        signs = {c.id: c.sign for c in g.chords}
+        kinks, bigons = _kinks(order), _bigons(order, signs)
         kinds = ["r1_insert", "r2_finger", "basepoint"]
-        r1s = r1_removal_sites(g)
-        r2s = r2_removal_sites(g)
-        if r1s:
+        if kinks:
             kinds.append("r1_remove")
-        if r2s:
+        if bigons:
             kinds.append("r2_remove")
         kind = rng.choice(kinds)
-        if kind == "r1_insert":
-            site = MoveSite(kind, {"slot": rng.randrange(nslots + 1),
-                                   "over": rng.choice("TH"),
-                                   "sign": rng.choice((1, -1))})
-        elif kind == "r2_finger":
-            site = MoveSite(kind, {"slot": rng.randrange(nslots + 1),
-                                   "over": rng.choice((True, False)),
-                                   "sign": rng.choice((1, -1))})
+        if kind in ("r1_insert", "r2_finger"):
+            slot = rng.randrange(len(order) + 1)
+            over = rng.choice("TH")
+            under = "H" if over == "T" else "T"
+            sign = rng.choice((1, -1))
+            c = max(signs, default=0) + 1
+            if kind == "r1_insert":
+                order[slot:slot] = [(c, over), (c, under)]
+                signs[c] = sign
+            else:
+                d = c + 1
+                order[slot:slot] = [(c, over), (d, over), (d, under), (c, under)]
+                signs[c], signs[d] = sign, -sign
         elif kind == "basepoint":
-            site = MoveSite(kind, {"steps": rng.randrange(1, max(nslots, 2))})
-        elif kind == "r1_remove":
-            site = rng.choice(r1s)
+            steps = rng.randrange(1, max(len(order), 2))
+            order = order[steps:] + order[:steps]
         else:
-            site = rng.choice(r2s)
-        self._diagram = apply(g, site)
+            gone = (rng.choice(kinks),) if kind == "r1_remove" else rng.choice(bigons)
+            order = [e for e in order if e[0] not in gone]
+            for cid in gone:
+                del signs[cid]
+        self._diagram = GaussDiagram.from_endpoint_order(order, signs, shape=g.shape)
         return kind
 
     def random_move(self, rng: random.Random) -> str:
@@ -249,7 +164,8 @@ def random_braid_word(rng: random.Random, n_letters: int) -> list[int]:
 
     The strand count k, from 2 to 4, is drawn among those with
     k - 1 == n_letters mod 2, since a k-cycle permutation has the parity of
-    k - 1; words on k strands are then drawn until one closes to a knot.
+    k - 1; words on k strands are then drawn until one uses all k strands
+    and `closure_walk` finds it closes to a knot.
     """
     if n_letters == 0:
         return []
@@ -258,15 +174,18 @@ def random_braid_word(rng: random.Random, n_letters: int) -> list[int]:
     k = rng.choice(candidates)
     while True:
         w = [rng.choice((1, -1)) * rng.randint(1, k - 1) for _ in range(n_letters)]
-        if braid_closure_components(w, k) == 1:
-            return w
+        if braid_strands(w) < k:
+            continue
+        try:
+            closure_walk(w)
+        except DiagramError:
+            continue
+        return w
 
 
 def random_realizable(seed: int, n_letters: int, n_moves: int) -> GaussDiagram:
     """Deterministic realizable diagram: random braid closure plus moves."""
     rng = random.Random(seed)
-    if n_letters == 0 and n_moves == 0:
-        return GaussDiagram([], shape="long")
     engine = MoveEngine(word=random_braid_word(rng, n_letters))
     for _ in range(n_moves):
         engine.random_move(rng)

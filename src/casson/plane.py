@@ -26,6 +26,7 @@ All geometric predicates use Fraction arithmetic; there are no tolerances.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,11 +57,25 @@ class GenericityError(ValueError):
     """The curve violates a genericity requirement; message names the feature."""
 
 
+# Largest decimal exponent a coordinate string may carry: Fraction("1e999999999")
+# would build a billion-digit integer.  4300 is Python's own digit limit for
+# int strings.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)")
+
+
 def _frac(v) -> Fraction:
     """Exact rational from an int, a finite float, a Fraction or a numeric
-    string; anything else is a ValueError."""
+    string with a decimal exponent of at most _MAX_EXPONENT in magnitude;
+    anything else is a ValueError."""
     if isinstance(v, bool):
         raise ValueError(f"coordinate {v!r} is not a number")
+    m = _EXPONENT.search(v) if isinstance(v, str) else None
+    if m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"coordinate {v!r} has a decimal exponent above "
+                             f"{_MAX_EXPONENT} in magnitude")
     try:
         return Fraction(v)
     except (TypeError, OverflowError, ZeroDivisionError) as exc:

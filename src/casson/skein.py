@@ -24,8 +24,8 @@ __all__ = ["FlipTrace", "descend", "v2_skein"]
 
 
 class NotDescendingRealizable(ValueError):
-    """The descent's checks failed: the two lk counts disagreed (the diagram
-    state is not realizable) or the final diagram is not descending."""
+    """The two lk counts of a switched crossing disagreed: the diagram state
+    is not realizable."""
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,13 @@ def _interlock_scan(tail, head, sign, c: int) -> tuple[int, int]:
     return crossings, lk
 
 
-def is_descending(diagram: GaussDiagram) -> bool:
-    """Every chord is first met at its tail."""
-    return all(c.tail < c.head for c in diagram.chords)
-
-
 def descend(diagram: GaussDiagram) -> FlipTrace:
     """Switch first-met-at-head crossings until the diagram is descending.
 
     The state is kept as tail, head and sign lists on endpoint indices and
-    flipped in place; the final diagram is built once at the end.
+    flipped in place; the final diagram is built once at the end.  The walk
+    meets each chord's lower endpoint once and flips the chord when that
+    endpoint is its head, so every chord of the final diagram is tail-first.
     """
     v = diagram.index_view
     tail, head, sign = list(v.tail), list(v.head), list(v.sign)
@@ -87,8 +84,6 @@ def descend(diagram: GaussDiagram) -> FlipTrace:
     final = GaussDiagram([c.reversed() if s != c.sign else c
                           for c, s in zip(diagram.chords, sign)],
                          shape=diagram.shape)
-    if not is_descending(final):
-        raise NotDescendingRealizable("descent ended on a non-descending diagram")
     return FlipTrace(tuple(flips), final)
 
 

@@ -355,8 +355,6 @@ def _trace(word: TangleWord):
         if len(leaves) != 1:
             raise TangleError(f"word leaves {len(leaves)} strands open, need "
                               f"exactly the one long strand")
-        if tree.root.orient != "u":
-            raise TangleError("long strand must exit upward")
         word.source = list(tree.root.piece)
     else:
         if tree.root is not None:
@@ -472,8 +470,7 @@ def _attempt_random_events(rng: random.Random, n_events: int, shape: str):
 
     for _ in range(6 * n_events + 60):
         k = len(tree.leaves)
-        done = (k == 1 and tree.root.orient == "u") if long_shape \
-            else (tree.root is None and events)
+        done = k == 1 if long_shape else (tree.root is None and events)
         grow = len(events) < n_events
         if done and not grow:
             return events

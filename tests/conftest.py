@@ -16,6 +16,11 @@ from casson.diagram import from_braid_word
 from casson.moves import random_braid_word, random_realizable
 
 
+def is_descending(diagram) -> bool:
+    """Every chord is first met at its tail."""
+    return all(c.tail < c.head for c in diagram.chords)
+
+
 @pytest.fixture(scope="session")
 def diagram_corpus():
     """500 deterministic random realizable diagrams, at most 40 chords."""

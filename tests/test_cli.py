@@ -164,6 +164,10 @@ MALFORMED_POLYKNOTS = {
         '{"shape":"long","vertices":[[0,0,0,5],[1,1,1],[0,2,0]]}',
     "zero_denominator":
         '{"shape":"long","vertices":[[0,0,0],[1,1,"1/0"],[0,2,0]]}',
+    "huge_exponent":
+        '{"shape":"long","vertices":[[0,0,0],[1,1,"1e999999999"],[0,2,0]]}',
+    "tiny_exponent":
+        '{"shape":"long","vertices":[[0,0,0],[1,1,"1e-999999999"],[0,2,0]]}',
 }
 
 

@@ -1,47 +1,55 @@
+import hashlib
 import random
 
-import pytest
-
-from casson.diagram import DiagramError
 from casson.invariants import arf, v2_gauss
-from casson.moves import (MoveEngine, MoveSite, apply, r1_removal_sites,
-                          r2_removal_sites, random_braid_word,
-                          random_realizable)
+from casson.moves import MoveEngine, random_braid_word, random_realizable
 from casson.skein import v2_skein
 
-
-def test_r1_insert_remove_roundtrip(trefoil):
-    g = apply(trefoil, MoveSite("r1_insert", {"slot": 2, "over": "T", "sign": -1}))
-    assert g.n == 4
-    assert v2_gauss(g) == 1
-    sites = r1_removal_sites(g)
-    assert sites
-    h = apply(g, sites[0])
-    assert h.n == 3 and v2_gauss(h) == 1
+SIZES = (0, 1, 5, 12)
 
 
-def test_r2_finger_remove_roundtrip(trefoil):
-    g = apply(trefoil, MoveSite("r2_finger", {"slot": 3, "over": True, "sign": 1}))
-    assert g.n == 5
-    assert v2_gauss(g) == 1
-    sites = r2_removal_sites(g)
-    assert sites
-    h = apply(g, sites[0])
-    assert h.n == 3
+def _moves_digest(seeds):
+    """SHA-256 over random_realizable's Gauss code for every (letters,
+    moves) pair of SIZES, and over a MoveEngine history on a word of
+    1 + seed % 16 letters: each of 20 move kinds and the diagram after it."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        for letters in SIZES:
+            for moves in SIZES:
+                h.update(random_realizable(seed, letters, moves).serialize().encode()
+                         + b"\0")
+        rng = random.Random(seed)
+        engine = MoveEngine(word=random_braid_word(rng, 1 + seed % 16))
+        for _ in range(20):
+            kind = engine.random_move(rng)
+            h.update(f"{kind} {engine.diagram().serialize()}".encode() + b"\0")
+    return h.hexdigest()
 
 
-def test_invalid_sites_rejected(trefoil):
-    with pytest.raises(DiagramError):
-        apply(trefoil, MoveSite("r1_remove", {"chord_id": 1}))
-    with pytest.raises(DiagramError):
-        apply(trefoil, MoveSite("r2_remove", {"chords": (1, 2)}))
-    with pytest.raises(DiagramError):
-        apply(trefoil, MoveSite("r1_insert", {"slot": 99}))
+def test_random_realizable_and_engine_golden():
+    # digest of the generator while diagram moves went through a tagged
+    # site object; any change in a random draw, a site order or a move shows
+    assert _moves_digest(range(100)) == (
+        "a5b81f86f409cc70ef7bf09d66409d2b546f3da729f2d6e175074e25d8ef6994")
 
 
-def test_basepoint_move(trefoil):
-    g = apply(trefoil, MoveSite("basepoint", {"steps": 2}))
-    assert v2_gauss(g) == 1 and g.n == 3
+MOVE_KINDS = {"r2_word", "conjugate", "stabilize", "triple", "commute",
+              "r1_insert", "r1_remove", "r2_finger", "r2_remove", "basepoint"}
+
+
+def test_engine_reaches_every_move_kind_keeping_invariants():
+    seen = set()
+    for seed in range(3):
+        rng = random.Random(seed)
+        engine = MoveEngine(word=random_braid_word(rng, 11))
+        g = engine.diagram()
+        ref = (v2_gauss(g), arf(g), v2_skein(g))
+        for _ in range(15):
+            seen.add(engine.random_move(rng))
+            g = engine.diagram()
+            assert (v2_gauss(g), arf(g), v2_skein(g)) == ref
+    assert seen == MOVE_KINDS
+
 
 
 def test_random_braid_word_parity():

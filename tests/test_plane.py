@@ -13,7 +13,7 @@ from casson.plane import (Crossing, GenericityError, PlaneCurve, PolyKnot,
                           arnold_I, convex_circle_curve, decomposition_identity,
                           morse_stats, polyknot_from_braid, project, v2_morse,
                           v2_morse_closed)
-from casson.skein import is_descending
+from conftest import is_descending
 
 
 def _long_knot(word):

@@ -1,8 +1,9 @@
 import pytest
 
 from casson.diagram import from_braid_word, parse_gauss_code
-from casson.skein import _interlock_scan, descend, is_descending, v2_skein
+from casson.skein import _interlock_scan, descend, v2_skein
 from casson.invariants import v2_gauss
+from conftest import is_descending
 
 
 def test_descending_fixture():
