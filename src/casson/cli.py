@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -324,7 +325,10 @@ def _add_output_flags(sub):
     sub.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing keeps no state in it, and seeds are read at command time."""
     p = argparse.ArgumentParser(prog="casson",
                                 description="Casson knot invariant toolkit")
     subs = p.add_subparsers(dest="command", required=True)

@@ -457,3 +457,43 @@ def test_method_table_reports_errors_like_the_chain(error, monkeypatch):
             got = _outcome(cli._run_method, method, diagram, source)
             assert got == _outcome(_chain_run_method, method, diagram, source)
             assert isinstance(got, tuple) == ran[k, method]
+
+
+# -- one parser, built on the first call, for every call after it ------------
+
+def _captured(capsys, argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_cached_parser_prints_like_a_fresh_one(monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argvs = (["v2", "--help"], ["v2", "--method", "nope"]) * 2
+    cached = [_captured(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert [_captured(capsys, argv) for argv in argvs] == cached
+    assert cached[0][0] == 0 and cached[0][1].startswith("usage: casson v2")
+    assert cached[1][0] == EXIT_PARSE and "invalid choice: 'nope'" in \
+        cached[1][2]
+
+
+def test_cached_parser_reads_the_seed_at_command_time(monkeypatch, capsys):
+    seeds = []
+    for value in ("5", "7"):
+        monkeypatch.setenv("CASSON_SEED", value)
+        code, out = run(capsys, "gen", "--letters", "4", "--moves", "1")
+        assert code == 0
+        seeds.append(out["seed"])
+    assert seeds == [5, 7]
+
+
+def test_failing_call_leaves_no_state(capsys):
+    good = ["v2", "--braid", "s1 s1 s1", "--method", "all"]
+    alone = _captured(capsys, good)
+    assert alone[0] == 0 and alone[2] == ""
+    for bad in (["v2", "--method", "nope"], ["v2"], ["gen", "--seed", "x"],
+                ["v2", "--gauss", "O1+U2"], ["v2", "--braid", "s1 s1"]):
+        assert _captured(capsys, bad)[0] != 0
+        assert _captured(capsys, good) == alone

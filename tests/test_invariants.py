@@ -10,6 +10,8 @@ from casson.diagram import (DisagreementError, from_braid_word,
 from casson.invariants import (arf, check_bound, crossing_bound, report,
                                v2_gauss, v2_long, v2_sym, x_counts)
 from casson.pairing import XFB, X_ALL, bracket
+from casson.plane import polyknot_from_braid, project, v2_morse, v2_morse_closed
+from casson.skein import v2_skein
 
 
 def test_unknot_zero():
@@ -42,6 +44,19 @@ def test_torus_law():
         g = torus_knot_2(n)
         assert v2_gauss(g) == want
         assert v2_sym(g) == want
+
+
+@pytest.mark.parametrize("p, q, want", [
+    (3, 4, 5), (3, 5, 8), (3, 7, 16), (4, 5, 15), (5, 6, 35), (4, 7, 30)])
+def test_torus_knot_closed_form(p, q, want):
+    # T(p,q) is the closure of (s1 s2 ... s_{p-1})^q, and v2 = (p^2-1)(q^2-1)/24
+    assert (p * p - 1) * (q * q - 1) == 24 * want
+    word = list(range(1, p)) * q
+    g = from_braid_word(word)
+    assert v2_gauss(g) == v2_sym(g) == v2_skein(g) == want
+    assert v2_morse(project(polyknot_from_braid(word))) == want
+    assert v2_morse_closed(project(polyknot_from_braid(word, closed=True))) \
+        == want
 
 
 def test_bound_and_sharpness():

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -425,6 +427,89 @@ def test_morse_stats_match_chain_counts():
         assert _stats_tuple(morse_stats(curve)) == _chain_morse_stats(curve)
         compared[kind] += 1
     assert min(compared.values()) >= 40
+
+
+# -- positive scaling and large denominators ---------------------------------
+#
+# A positive scaling keeps every incidence, orientation and height order,
+# which is what running the predicates on a curve scaled to integers
+# relies on.
+
+def _scaled_knot(points3, shape, f):
+    return PolyKnot(tuple(tuple(f * Fraction(c) for c in p) for p in points3),
+                    shape=shape)
+
+
+def _plane_results(knot):
+    """Crossings as (t1, t2, eps, over_first, point), Morse statistics and
+    the Morse v2, or the GenericityError."""
+    try:
+        curve = project(knot)
+    except GenericityError as exc:
+        return exc
+    v2 = v2_morse(curve) if curve.shape == "long" else v2_morse_closed(curve)
+    return ([(c.t1, c.t2, c.eps, c.over_first, c.point)
+             for c in curve.crossings], _stats_tuple(morse_stats(curve)), v2)
+
+
+# a double point at (1, 1), level with a vertex that is not an extremum,
+# and level with a minimum
+_LEVEL_FAULTS = [
+    ([(0, 0, 0), (2, 2, 0), (2, -1, 1), (0, 3, 1), (5, 1, 0)], "closed"),
+    ([(0, 0, 0), (2, 2, 0), (2, -1, 1), (0, 3, 1), (-1, 1, 0), (-3, 4, 0)],
+     "closed"),
+]
+
+
+def _numbers_masked(exc):
+    return re.sub(r"-?\d+(/\d+)?", "#", str(exc))
+
+
+@pytest.mark.parametrize("f", [Fraction(7, 3), Fraction(1, 1009)])
+def test_scaling_keeps_plane_results(f):
+    # only the double points move, by the same factor, and every error
+    # names the same feature
+    generic = faults = 0
+    for points3, shape in _fixture_knots() + _LEVEL_FAULTS:
+        want = _plane_results(PolyKnot(tuple(points3), shape=shape))
+        got = _plane_results(_scaled_knot(points3, shape, f))
+        if isinstance(want, GenericityError):
+            assert isinstance(got, GenericityError)
+            assert _numbers_masked(got) == _numbers_masked(want)
+            faults += 1
+            continue
+        generic += 1
+        assert got[1:] == want[1:]
+        assert [c[:4] for c in got[0]] == [c[:4] for c in want[0]]
+        assert [c[4] for c in got[0]] == \
+            [(f * x, f * y) for *_, (x, y) in want[0]]
+    assert generic >= 25 and faults >= len(_LEVEL_FAULTS)
+
+
+def _prime_perturbed(knot, rng):
+    """Every coordinate but the long axis ends moved by k/(64 p) for its
+    own prime p, so the coordinates' common denominator is huge."""
+    primes = (p for p in range(1009, 10**6, 2)
+              if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
+    last = len(knot.vertices) - 1
+    return PolyKnot(tuple(
+        v if knot.shape == "long" and i in (0, last)
+        else tuple(c + Fraction(rng.randint(-64, 64), 64 * next(primes))
+                   for c in v)
+        for i, v in enumerate(knot.vertices)), shape=knot.shape)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_many_prime_denominators_match_references(closed):
+    knot = _prime_perturbed(polyknot_from_braid(
+        random_braid_word(random.Random(7), 12), closed=closed),
+        random.Random(8))
+    assert math.lcm(*{c.denominator for v in knot.vertices for c in v}) \
+        > 10 ** 300
+    got = _sweep_outcome(knot.vertices, knot.shape)
+    assert isinstance(got, list) and got
+    curve = project(knot)
+    assert _stats_tuple(morse_stats(curve)) == _chain_morse_stats(curve)
 
 
 def _braid_constructors_digest(seeds):
