@@ -497,3 +497,58 @@ def test_failing_call_leaves_no_state(capsys):
                 ["v2", "--gauss", "O1+U2"], ["v2", "--braid", "s1 s1"]):
         assert _captured(capsys, bad)[0] != 0
         assert _captured(capsys, good) == alone
+
+
+# -- golden bytes of the whole CLI --------------------------------------------
+
+import hashlib
+
+_GENERIC_BAD = '{"shape":"long","vertices":[[0,0,0],[1,2,1],[2,2,0],[0,5,0]]}'
+
+GOLDEN_ARGV = [
+    *(["v2", f"--{kind}", payload, "--method", "all"] for kind, payload in (
+        ("braid", "s1 s1 s1"),
+        ("braid", "1 -2 1 -2"),
+        ("braid", "-s2 s1 -s1 -s2 s3 -s1 -s2 -s2 -s1 -s2 s1"),
+        ("gauss", "O1+U2+O3+U1+O2+U3+"),
+        ("gauss", ""),
+        ("gauss", "O1-U2-O3-U1-O2-U3-O4+U4+"),
+        ("gauss", "O1+O2+O3-U4+O5+O6+U6+U7+U8-U9-O10-U1+U11-U12+O12+O13-U14-"
+                  "U3-U15+O16+O9-U10-U17+O17+U2+O11-U13-O14-O4+U5+O7+O15+U16+"
+                  "O8-"),
+        ("pd", "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"),
+        ("pd", "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"),
+        ("torus", "3"),
+        ("torus", "41"),
+        ("polyknot", polyknot_from_braid([1, 1, 1], closed=False).to_json()),
+        ("polyknot", polyknot_from_braid([1, -2, 1, -2], closed=True).to_json()),
+        ("tangle", TREFOIL_TANGLE_TEXT),
+        ("tangle", "MIN@1:u\nMAX@1:u\n"),
+    )),
+    ["v2", "--torus", "9", "--format", "tsv"],
+    ["arf", "--braid", "1 -2 1 -2"],
+    ["arf", "--torus", "7"],
+    ["bound", "--torus", "5"],
+    ["bound", "--gauss", "O1+U2+O3+U1+O2+U3+"],
+    ["gen", "--seed", "11", "--letters", "8", "--moves", "2"],
+    ["gen", "--seed", "4", "--letters", "14", "--moves", "9"],
+    ["moves-check", "--seed", "3", "--letters", "8", "--moves", "10"],
+    ["moves-check", "--seed", "7", "--letters", "12", "--moves", "25"],
+    ["v2", "--gauss", "O1+U2"],                                  # exit 1
+    ["v2", "--torus", "4"],                                      # exit 1
+    ["v2", "--polyknot", _GENERIC_BAD],                          # exit 2
+    ["v2", "--gauss", "U1+O2+O1+U2+", "--method", "all"],        # exit 2
+]
+
+
+def test_golden_cli_bytes(capsys):
+    # stdout, stderr and exit code of every call, byte for byte: any change
+    # in what the CLI prints for these inputs changes the digest
+    h = hashlib.sha256()
+    for argv in GOLDEN_ARGV:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        for part in (repr(argv), out, err, str(code)):
+            h.update(part.encode() + b"\0")
+    assert h.hexdigest() == \
+        "38d9b6fd83b894f4f26e0a0538a9a44f6d24af3ce133075a1125b2e64508d5ee"
