@@ -9,10 +9,11 @@ Subcommands:
     integrate   Monte Carlo configuration-space integral of a polygonal knot
     batch       CSV table of inputs, one result record per row
 
-Exit codes: 0 success, 1 parse error, 2 validation/genericity error,
-3 cross-method disagreement (always a bug).  The default seed is taken
-from the CASSON_SEED environment variable when set; a value that is not an
-integer is a parse error.  Tangle words are read as long knots.
+Exit codes: 0 success, 1 parse error, 2 validation/genericity error
+(an input over MAX_CHORDS chords among them), 3 cross-method disagreement
+(always a bug).  The default seed is taken from the CASSON_SEED
+environment variable when set; a value that is not an integer is a parse
+error.  Tangle words are read as long knots.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ SCHEMA_VERSION = 1
 EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_DISAGREE = 3
+
+# Most chords an input may have: the skein descent is quadratic, and
+# T(10001,2) already takes seconds under --method all.
+MAX_CHORDS = 20001
 
 # name -> (source type needed, or None for any diagram; skip reason without
 # it; run(diagram, source)).  The callables look their functions up in this
@@ -86,7 +91,19 @@ def _parse_input(args) -> tuple[GaussDiagram, object]:
     return _build_input(kind, payload)
 
 
+def _check_chords(kind: str, n: int) -> None:
+    if n > MAX_CHORDS:
+        raise CliError(f"{kind} input has {n} chords, more than the limit of "
+                       f"{MAX_CHORDS}", EXIT_VALIDATION)
+
+
 def _build_input(kind: str, payload: str) -> tuple[GaussDiagram, object]:
+    diagram, source = _read_input(kind, payload)
+    _check_chords(kind, diagram.n)
+    return diagram, source
+
+
+def _read_input(kind: str, payload: str) -> tuple[GaussDiagram, object]:
     try:
         if kind == "gauss":
             return parse_gauss_code(payload, shape="long"), None
@@ -95,7 +112,9 @@ def _build_input(kind: str, payload: str) -> tuple[GaussDiagram, object]:
         if kind == "braid":
             return from_braid_word(payload), None
         if kind == "torus":
-            return torus_knot_2(int(payload)), None
+            n = int(payload)
+            _check_chords(kind, n)
+            return torus_knot_2(n), None
         if kind in ("polyknot", "tangle"):
             text = payload
             if os.path.exists(payload):

@@ -8,16 +8,17 @@ that point at infinity.
 
 Every method reads only the order of the endpoints around the circle, so
 a chord's endpoints are integer indices: the 2n endpoints of a diagram sit
-at 0..2n-1, numbered from the base point along the orientation.  A move
-that inserts or deletes chords builds a new diagram from its endpoint
-order (`GaussDiagram.from_endpoint_order`) rather than editing positions.
+at 0..2n-1, numbered from the base point along the orientation.  The
+diagram is stored once, as integer arrays indexed by chord (ids, tail,
+head, sign) plus the chord at each endpoint (at).  A move that inserts or
+deletes chords edits the endpoint order (`GaussDiagram.order`) and builds
+a new diagram from it (`GaussDiagram.from_endpoint_order`) rather than
+editing positions.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Literal, NamedTuple
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "GaussDiagram",
     "DiagramError",
     "DisagreementError",
-    "EndpointIndex",
     "parse_gauss_code",
     "parse_pd_code",
     "braid_strands",
@@ -43,8 +43,7 @@ class DisagreementError(ArithmeticError):
     """Formulas that must give one integer do not: always a bug."""
 
 
-@dataclass(frozen=True)
-class Chord:
+class Chord(NamedTuple):
     """One double point: arrow from the overpass (tail) to the underpass (head)."""
 
     id: int
@@ -52,78 +51,51 @@ class Chord:
     head: int
     sign: int
 
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise DiagramError(f"chord {self.id}: sign must be +1 or -1, got {self.sign}")
-        if self.tail == self.head:
-            raise DiagramError(f"chord {self.id}: tail and head coincide")
-
-    def reversed(self) -> "Chord":
-        """Same chord with direction and sign flipped (a crossing change)."""
-        return Chord(self.id, self.head, self.tail, -self.sign)
-
-
-class EndpointIndex(NamedTuple):
-    """Integer view of a diagram: endpoints numbered 0..2n-1 from the base point.
-
-    ``tail[i]``, ``head[i]`` and ``sign[i]`` describe ``chords[i]`` of the
-    diagram; ``at[p]`` is the index of the chord with an endpoint at p.
-    """
-
-    tail: tuple[int, ...]
-    head: tuple[int, ...]
-    sign: tuple[int, ...]
-    at: tuple[int, ...]
-
 
 class GaussDiagram:
     """Based Gauss diagram: signed directed chords on an oriented circle.
 
-    Immutable after construction; all operations return new diagrams, so
-    derived data such as `index_view` is computed once and cached.
+    Stored as integer arrays indexed by chord: ``ids[i]``, ``tail[i]``,
+    ``head[i]`` and ``sign[i]`` describe the i-th chord, and ``at[p]`` is
+    the index of the chord with an endpoint at p.  Immutable after
+    construction; all operations return new diagrams.
     """
 
     def __init__(self, chords: Iterable[Chord], shape: Literal["closed", "long"] = "closed"):
-        self.chords = tuple(chords)
         if shape not in ("closed", "long"):
             raise DiagramError(f"shape must be 'closed' or 'long', got {shape!r}")
         self.shape = shape
-        positions = [p for c in self.chords for p in (c.tail, c.head)]
-        if set(positions) != set(range(len(positions))):
-            raise DiagramError(f"endpoint positions are not exactly "
-                               f"0..{len(positions) - 1}")
-        ids = [c.id for c in self.chords]
-        if len(set(ids)) != len(ids):
+        chords = tuple(chords)
+        size = 2 * len(chords)
+        at = [-1] * size
+        for i, (cid, tail, head, sign) in enumerate(chords):
+            if sign not in (-1, 1):
+                raise DiagramError(f"chord {cid}: sign must be +1 or -1, got {sign}")
+            for p in (tail, head):
+                if type(p) is not int or not 0 <= p < size or at[p] != -1:
+                    raise DiagramError(f"endpoint positions are not exactly "
+                                       f"0..{size - 1}")
+                at[p] = i
+        self.ids, self.tail, self.head, self.sign = \
+            map(tuple, zip(*chords)) if chords else ((),) * 4
+        if len(set(self.ids)) != len(self.ids):
             raise DiagramError("duplicate chord ids")
-        self._by_id = {c.id: c for c in self.chords}
+        self.at = tuple(at)
 
     @property
     def n(self) -> int:
-        return len(self.chords)
+        return len(self.ids)
 
-    def chord(self, chord_id: int) -> Chord:
-        try:
-            return self._by_id[chord_id]
-        except KeyError:
-            raise DiagramError(f"unknown chord id {chord_id}") from None
+    @property
+    def chords(self) -> tuple[Chord, ...]:
+        return tuple(map(Chord, self.ids, self.tail, self.head, self.sign))
 
-    def endpoints(self) -> list[tuple[int, Chord, str]]:
-        """All 2n endpoints as (position, chord, 'T'|'H'), in circle order."""
-        out = [None] * (2 * self.n)
-        for c in self.chords:
-            out[c.tail] = (c.tail, c, "T")
-            out[c.head] = (c.head, c, "H")
-        return out
-
-    @cached_property
-    def index_view(self) -> EndpointIndex:
-        """Tail, head and sign of every chord on integer endpoint indices."""
-        at = [0] * (2 * self.n)
-        for i, c in enumerate(self.chords):
-            at[c.tail] = at[c.head] = i
-        return EndpointIndex(tuple(c.tail for c in self.chords),
-                             tuple(c.head for c in self.chords),
-                             tuple(c.sign for c in self.chords), tuple(at))
+    def order(self) -> list[tuple[int, str]]:
+        """Endpoint tokens (chord id, 'T'|'H') in circle order: the input of
+        `from_endpoint_order`."""
+        ids, tail = self.ids, self.tail
+        return [(ids[i], "T" if tail[i] == p else "H")
+                for p, i in enumerate(self.at)]
 
     @staticmethod
     def from_endpoint_order(order: Iterable[tuple[int, str]], signs: dict[int, int],
@@ -151,19 +123,14 @@ class GaussDiagram:
 
         Tail endpoints print as O tokens (overpass), heads as U tokens.
         """
+        signs = dict(zip(self.ids, self.sign))
         relabel: dict[int, int] = {}
         toks = []
-        for _, c, kind in self.endpoints():
-            if c.id not in relabel:
-                relabel[c.id] = len(relabel) + 1
-            letter = "O" if kind == "T" else "U"
-            s = "+" if c.sign > 0 else "-"
-            toks.append(f"{letter}{relabel[c.id]}{s}")
+        for cid, kind in self.order():
+            label = relabel.setdefault(cid, len(relabel) + 1)
+            toks.append(f"{'O' if kind == 'T' else 'U'}{label}"
+                        f"{'+' if signs[cid] > 0 else '-'}")
         return "".join(toks)
-
-    def mirror(self) -> "GaussDiagram":
-        """Diagram of the mirror knot: every chord reversed, signs negated."""
-        return GaussDiagram([c.reversed() for c in self.chords], shape=self.shape)
 
     def __repr__(self):
         return f"GaussDiagram({self.serialize()!r}, shape={self.shape!r})"

@@ -120,8 +120,8 @@ class MoveEngine:
     def _diagram_move(self, rng: random.Random) -> str:
         g = self.diagram()
         self.word = None
-        order = [(c.id, kind) for _, c, kind in g.endpoints()]
-        signs = {c.id: c.sign for c in g.chords}
+        order = g.order()
+        signs = dict(zip(g.ids, g.sign))
         kinks, bigons = _kinks(order), _bigons(order, signs)
         kinds = ["r1_insert", "r2_finger", "basepoint"]
         if kinks:

@@ -8,17 +8,18 @@ signs (or 1, for `unsigned_match_count`); it is linear in integer
 combinations of patterns.  Polyak-Viro's v2, the Arf invariant and the
 Morse and associator formulas use no other patterns.
 
-The count works on the diagram's integer endpoint indices
-(`GaussDiagram.index_view`): a pair matches when its endpoints read
-l_a < l_b < r_a < r_b and each chord points the way the pattern says, which
-is a 2D dominance count, done by one Fenwick-tree sweep in O(n log n).
+The count works on the diagram's integer endpoint arrays
+(`GaussDiagram.tail`, `head`, `sign` and `at`): a pair matches when its
+endpoints read l_a < l_b < r_a < r_b and each chord points the way the
+pattern says, which is a 2D dominance count, done by one Fenwick-tree
+sweep in O(n log n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import EndpointIndex, GaussDiagram
+from .diagram import GaussDiagram
 
 __all__ = [
     "ArrowPattern",
@@ -80,7 +81,7 @@ X_ALL = PatternCombination(((1, XUP), (1, XDOWN), (1, XFWD), (1, XBWD)))
 XFB = PatternCombination(((1, XFWD), (1, XBWD)))
 
 
-def _interlock_sum(view: EndpointIndex, weight, a_forward: bool,
+def _interlock_sum(diagram: GaussDiagram, weight, a_forward: bool,
                    b_forward: bool) -> int:
     """Sum of w_a * w_b over chord pairs with l_a < l_b < r_a < r_b, chord a
     pointing forward iff a_forward and chord b iff b_forward.
@@ -91,11 +92,11 @@ def _interlock_sum(view: EndpointIndex, weight, a_forward: bool,
     stored so far has a smaller left end, so the query counts exactly the a
     with l_a < l < r_a < r.
     """
-    tail, head = view.tail, view.head
-    size = len(view.at)
+    tail, head = diagram.tail, diagram.head
+    size = len(diagram.at)
     tree = [0] * (size + 1)
     total = 0
-    for p, c in enumerate(view.at):
+    for p, c in enumerate(diagram.at):
         t, h = tail[c], head[c]
         forward = p == t
         r = h if forward else t
@@ -121,14 +122,12 @@ def _interlock_sum(view: EndpointIndex, weight, a_forward: bool,
 
 def bracket(pattern, diagram: GaussDiagram) -> int:
     """Sum of chord-sign products over subdiagrams matching the pattern."""
-    view = diagram.index_view
-    return sum(coeff * _interlock_sum(view, view.sign, *pat.forward)
+    return sum(coeff * _interlock_sum(diagram, diagram.sign, *pat.forward)
                for coeff, pat in _terms(pattern))
 
 
 def unsigned_match_count(pattern, diagram: GaussDiagram) -> int:
     """Plain number of matching subdiagrams, ignoring chord signs."""
-    view = diagram.index_view
     ones = (1,) * diagram.n
-    return sum(coeff * _interlock_sum(view, ones, *pat.forward)
+    return sum(coeff * _interlock_sum(diagram, ones, *pat.forward)
                for coeff, pat in _terms(pattern))

@@ -6,10 +6,11 @@ contributes sign * lk of the two-component smoothing, evaluated on the
 diagram state at switch time.  The walk ends on a descending diagram, which
 represents the unknot, so the accumulated total is v2.
 
-One O(n) scan of the state, kept on endpoint indices, counts the linking
-number of a smoothing two ways: half the signed crossings between its two
-components, and the closed-form count of those whose heads lie after the
-switched chord's tail.  They must agree, or `NotDescendingRealizable` is
+One O(n) scan of the state, a copy of the diagram's tail, head and sign
+arrays flipped in place, counts the linking number of a smoothing two
+ways: half the signed crossings between its two components, and the
+closed-form count of those whose heads lie after the switched chord's
+tail.  They must agree, or `NotDescendingRealizable` is
 raised: the input was not realizable.  The descent is O(n^2) for n chords.
 """
 
@@ -64,26 +65,24 @@ def descend(diagram: GaussDiagram) -> FlipTrace:
     """Switch first-met-at-head crossings until the diagram is descending.
 
     The state is kept as tail, head and sign lists on endpoint indices and
-    flipped in place; the final diagram is built once at the end.  The walk
-    meets each chord's lower endpoint once and flips the chord when that
-    endpoint is its head, so every chord of the final diagram is tail-first.
+    flipped in place; the final diagram is built once at the end, from the
+    flipped lists.  The walk meets each chord's lower endpoint once and
+    flips the chord when that endpoint is its head, so every chord of the
+    final diagram is tail-first.
     """
-    v = diagram.index_view
-    tail, head, sign = list(v.tail), list(v.head), list(v.sign)
+    tail, head, sign = map(list, (diagram.tail, diagram.head, diagram.sign))
     flips = []
-    for p, c in enumerate(v.at):
+    for p, c in enumerate(diagram.at):
         if head[c] != p or tail[c] < p:
             continue
         crossings, lk = _interlock_scan(tail, head, sign, c)
         if crossings != 2 * lk:
             raise NotDescendingRealizable(
-                f"lk mismatch at chord {diagram.chords[c].id}: count {lk} "
+                f"lk mismatch at chord {diagram.ids[c]}: count {lk} "
                 f"vs smoothing {Fraction(crossings, 2)}")
-        flips.append((diagram.chords[c].id, sign[c], lk))
+        flips.append((diagram.ids[c], sign[c], lk))
         tail[c], head[c], sign[c] = head[c], tail[c], -sign[c]
-    final = GaussDiagram([c.reversed() if s != c.sign else c
-                          for c, s in zip(diagram.chords, sign)],
-                         shape=diagram.shape)
+    final = GaussDiagram(zip(diagram.ids, tail, head, sign), shape=diagram.shape)
     return FlipTrace(tuple(flips), final)
 
 

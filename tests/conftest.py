@@ -12,8 +12,18 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from casson.diagram import from_braid_word
+from casson.diagram import Chord, GaussDiagram, from_braid_word
 from casson.moves import random_braid_word, random_realizable
+
+
+def reversed_chord(c: Chord) -> Chord:
+    """Same chord with direction and sign flipped (a crossing change)."""
+    return Chord(c.id, c.head, c.tail, -c.sign)
+
+
+def mirror(diagram: GaussDiagram) -> GaussDiagram:
+    """Diagram of the mirror knot: every chord reversed, signs negated."""
+    return GaussDiagram(map(reversed_chord, diagram.chords), shape=diagram.shape)
 
 
 def is_descending(diagram) -> bool:

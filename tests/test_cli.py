@@ -499,6 +499,45 @@ def test_failing_call_leaves_no_state(capsys):
         assert _captured(capsys, good) == alone
 
 
+
+# -- the chord cap -------------------------------------------------------------
+
+from casson.cli import MAX_CHORDS
+
+
+def test_torus_over_chord_cap_is_not_built(monkeypatch, capsys):
+    code, out = run(capsys, "arf", "--torus", str(MAX_CHORDS))
+    assert code == 0 and out["n_chords"] == MAX_CHORDS
+
+    def forbidden(n):
+        raise AssertionError("built a torus knot over the chord cap")
+
+    monkeypatch.setattr(cli, "torus_knot_2", forbidden)
+    assert main(["v2", "--torus", str(MAX_CHORDS + 2)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert f"{MAX_CHORDS + 2} chords, more than the limit" in err
+
+
+def test_chord_cap_after_building(tmp_path, capsys):
+    big = "s1 " * (MAX_CHORDS + 2)
+    assert main(["v2", "--braid", big, "--method", "all"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert f"braid input has {MAX_CHORDS + 2} chords" in err
+    table = tmp_path / "t.csv"
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows([["big", "braid", big],
+                                  ["huge", "torus", "10000001"],
+                                  ["tref", "braid", "s1 s1 s1"]])
+    code, out = run(capsys, "batch", str(table))
+    assert code == 0
+    braid, torus, tref = out["records"]
+    assert "more than the limit" in braid["error"]
+    assert "more than the limit" in torus["error"]
+    assert tref["v2"] == 1
+
+
 # -- golden bytes of the whole CLI --------------------------------------------
 
 import hashlib

@@ -3,6 +3,7 @@ import pytest
 from casson.diagram import (Chord, DiagramError, GaussDiagram, braid_strands,
                             closure_walk, from_braid_word, parse_gauss_code, parse_pd_code,
                             torus_knot_2)
+from conftest import mirror
 
 
 def test_parse_gauss_trefoil_roundtrip():
@@ -83,15 +84,15 @@ def test_torus_knots():
 
 def test_mirror_flips_signs():
     g = from_braid_word([1, 1, 1])
-    m = g.mirror()
+    m = mirror(g)
     assert sorted(c.sign for c in m.chords) == [-1, -1, -1]
 
 
 def _base_point_moved(g: GaussDiagram) -> GaussDiagram:
     """The diagram with its base point moved forward past one endpoint."""
-    order = [(c.id, kind) for _, c, kind in g.endpoints()]
+    order = g.order()
     return GaussDiagram.from_endpoint_order(
-        order[1:] + order[:1], {c.id: c.sign for c in g.chords}, shape=g.shape)
+        order[1:] + order[:1], dict(zip(g.ids, g.sign)), shape=g.shape)
 
 
 def test_base_point_move_cycles():
@@ -115,10 +116,11 @@ def test_from_endpoint_order_validation():
     [(-1, 2), (1, 0)],   # negative index
     [(0, 4), (1, 2)],    # index 2n
     [(0, 1), (2, 7)],    # index beyond 2n
-], ids=["gap", "duplicate", "negative", "2n", "beyond_2n"])
+    [(0, 2), (3, 0.5)],  # not an integer
+], ids=["gap", "duplicate", "negative", "2n", "beyond_2n", "fraction"])
 def test_positions_must_be_0_to_2n_minus_1(ends):
     chords = [Chord(i, t, h, 1) for i, (t, h) in enumerate(ends, start=1)]
     with pytest.raises(DiagramError):
         GaussDiagram(chords)
     ok = [Chord(1, 0, 2, 1), Chord(2, 3, 1, -1)]
-    assert GaussDiagram(ok).index_view.at == (0, 1, 0, 1)
+    assert GaussDiagram(ok).at == (0, 1, 0, 1)

@@ -3,6 +3,7 @@ import pytest
 from casson.diagram import from_braid_word, parse_gauss_code
 from casson.pairing import (XBWD, XDOWN, XFWD, XUP, X_ALL, ArrowPattern,
                             PatternCombination, bracket, unsigned_match_count)
+from conftest import mirror
 
 
 def test_pattern_validation():
@@ -46,7 +47,7 @@ def test_linearity():
 
 def test_unsigned_count_ignores_signs():
     pos = from_braid_word([1, 1, 1])
-    neg = pos.mirror()
+    neg = mirror(pos)
     assert unsigned_match_count(XUP, pos) == unsigned_match_count(XDOWN, neg)
 
 
@@ -124,3 +125,29 @@ def test_torus_law_up_to_641():
     for n in range(3, 642, 2):
         g = torus_knot_2(n)
         assert bracket(XUP, g) == bracket(XDOWN, g) == (n * n - 1) // 8, n
+
+
+# -- the stored arrays against their two constructors --------------------------
+
+def _serialized_from_chords(g):
+    """Reference Gauss code: endpoints sorted by position, labels renumbered
+    by first appearance."""
+    ends = sorted([(c.tail, c.id, "O", c.sign) for c in g.chords]
+                  + [(c.head, c.id, "U", c.sign) for c in g.chords])
+    relabel = {}
+    return "".join(f"{letter}{relabel.setdefault(cid, len(relabel) + 1)}"
+                   f"{'+' if sign > 0 else '-'}"
+                   for _, cid, letter, sign in ends)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chord_diagrams())
+def test_order_round_trip(g):
+    arrays = (g.ids, g.tail, g.head, g.sign, g.at)
+    rebuilt = (GaussDiagram.from_endpoint_order(
+                   g.order(), dict(zip(g.ids, g.sign)), g.shape),
+               GaussDiagram(g.chords, g.shape))
+    for h in rebuilt:
+        assert (h.ids, h.tail, h.head, h.sign, h.at) == arrays
+        assert h.shape == g.shape
+        assert h.serialize() == g.serialize() == _serialized_from_chords(g)

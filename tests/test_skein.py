@@ -3,7 +3,7 @@ import pytest
 from casson.diagram import from_braid_word, parse_gauss_code
 from casson.skein import _interlock_scan, descend, v2_skein
 from casson.invariants import v2_gauss
-from conftest import is_descending
+from conftest import is_descending, reversed_chord
 
 
 def test_descending_fixture():
@@ -31,11 +31,10 @@ def test_lk_two_ways_agree(diagram_corpus):
 
 def test_lk_two_ways_on_first_flip(trefoil):
     # the first chord met at its head satisfies the closed form directly
-    v = trefoil.index_view
-    for _, c, kind in trefoil.endpoints():
+    for cid, kind in trefoil.order():
         if kind == "H":
-            crossings, lk = _interlock_scan(v.tail, v.head, v.sign,
-                                            trefoil.chords.index(c))
+            crossings, lk = _interlock_scan(trefoil.tail, trefoil.head,
+                                            trefoil.sign, trefoil.ids.index(cid))
             assert crossings == 2 * lk
             break
 
@@ -70,14 +69,14 @@ def _naive_descend(diagram):
     off chord positions, both ways."""
     chords = {c.id: c for c in diagram.chords}
     flips, seen = [], set()
-    for _, c0, kind in diagram.endpoints():
-        if c0.id in seen:
+    for c0_id, kind in diagram.order():
+        if c0_id in seen:
             continue
-        seen.add(c0.id)
+        seen.add(c0_id)
         if kind == "T":
             continue
         state = GaussDiagram(chords.values(), shape=diagram.shape)
-        c = state.chord(c0.id)
+        c = state.chords[state.ids.index(c0_id)]
         lo, hi = min(c.tail, c.head), max(c.tail, c.head)
         lk = two = 0
         for other in state.chords:
@@ -86,8 +85,8 @@ def _naive_descend(diagram):
                 if other.head > c.tail:
                     lk += other.sign
         assert Fraction(two, 2) == lk
-        flips.append((c0.id, c.sign, lk))
-        chords[c0.id] = c.reversed()
+        flips.append((c0_id, c.sign, lk))
+        chords[c0_id] = reversed_chord(c)
     return flips, GaussDiagram(chords.values(), shape=diagram.shape)
 
 
@@ -101,12 +100,11 @@ def test_descend_equals_per_flip_rebuild(diagram_corpus):
 
 def test_lk_wrappers_match_reference(diagram_corpus):
     for g in diagram_corpus[:30]:
-        v = g.index_view
         for i, c in enumerate(g.chords):
             lo, hi = min(c.tail, c.head), max(c.tail, c.head)
             cross = [o for o in g.chords if o.id != c.id
                      and (lo < o.tail < hi) != (lo < o.head < hi)]
-            assert _interlock_scan(v.tail, v.head, v.sign, i) == \
+            assert _interlock_scan(g.tail, g.head, g.sign, i) == \
                 (sum(o.sign for o in cross),
                  sum(o.sign for o in cross if o.head > c.tail))
 
