@@ -15,8 +15,7 @@ move engines, and random generators used by the cross-method test battery.
 from .diagram import (Chord, DiagramError, DisagreementError, GaussDiagram,
                       from_braid_word, parse_gauss_code, parse_pd_code,
                       torus_knot_2)
-from .invariants import (InvariantReport, arf, check_bound, crossing_bound,
-                         report, v2_gauss, v2_sym)
+from .invariants import arf, check_bound, crossing_bound, v2_gauss, v2_sym
 from .moves import MoveEngine, random_realizable
 from .pairing import (XBWD, XDOWN, XFWD, XUP, X_ALL, ArrowPattern,
                       PatternCombination, bracket, unsigned_match_count)
@@ -32,8 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Chord", "DiagramError", "DisagreementError", "GaussDiagram", "from_braid_word",
     "parse_gauss_code", "parse_pd_code", "torus_knot_2",
-    "InvariantReport", "arf", "check_bound", "crossing_bound", "report",
-    "v2_gauss", "v2_sym",
+    "arf", "check_bound", "crossing_bound", "v2_gauss", "v2_sym",
     "MoveEngine", "random_realizable",
     "XBWD", "XDOWN", "XFWD", "XUP", "X_ALL",
     "ArrowPattern", "PatternCombination", "bracket", "unsigned_match_count",

@@ -10,7 +10,8 @@ Subcommands:
     batch       CSV table of inputs, one result record per row
 
 Exit codes: 0 success, 1 parse error, 2 validation/genericity error
-(an input over MAX_CHORDS chords among them), 3 cross-method disagreement
+(an input over MAX_CHORDS chords among them, and a `gen` or `moves-check`
+run whose --letters + 2 * --moves exceeds it), 3 cross-method disagreement
 (always a bug).  The default seed is taken from the CASSON_SEED
 environment variable when set; a value that is not an integer is a parse
 error.  Tangle words are read as long knots.
@@ -227,9 +228,19 @@ def _check_count(flag: str, value: int, least: int = 0) -> None:
                        EXIT_VALIDATION)
 
 
-def _cmd_gen(args) -> int:
+def _check_generation(args) -> None:
+    """--letters and --moves of `gen` and `moves-check`: each move adds at
+    most two chords, so a run builds at most letters + 2 * moves of them."""
     _check_count("--letters", args.letters)
     _check_count("--moves", args.moves)
+    most = args.letters + 2 * args.moves
+    if most > MAX_CHORDS:
+        raise CliError(f"--letters + 2 * --moves is {most}, more than the "
+                       f"limit of {MAX_CHORDS} chords", EXIT_VALIDATION)
+
+
+def _cmd_gen(args) -> int:
+    _check_generation(args)
     seed = args.seed if args.seed is not None else _default_seed()
     diagram = random_realizable(seed, args.letters, args.moves)
     _emit({"command": "gen", "seed": seed,
@@ -238,8 +249,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_moves_check(args) -> int:
-    _check_count("--letters", args.letters)
-    _check_count("--moves", args.moves)
+    _check_generation(args)
     seed = args.seed if args.seed is not None else _default_seed()
     rng = random.Random(seed)
     word = random_braid_word(rng, args.letters)

@@ -7,26 +7,13 @@ terms they pass in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
 from fractions import Fraction
 
 from .diagram import DisagreementError, GaussDiagram
 from .pairing import XUP, XDOWN, bracket, unsigned_match_count
 
-__all__ = ["InvariantReport", "v2_gauss", "v2_sym", "arf", "check_bound", "report",
-           "cross_sign", "x_counts", "v2_long", "v2_closed"]
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    v2: int
-    arf: int
-    n: int
-    bound: int
-    method: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+__all__ = ["v2_gauss", "v2_sym", "arf", "check_bound", "cross_sign", "x_counts",
+           "v2_long", "v2_closed"]
 
 
 def v2_gauss(diagram: GaussDiagram) -> int:
@@ -110,16 +97,3 @@ def _integral(name: str, value: Fraction) -> int:
     if value.denominator != 1:
         raise DisagreementError(f"{name}: non-integral value {value}")
     return int(value)
-
-
-def report(diagram: GaussDiagram, method: str = "gauss") -> InvariantReport:
-    """v2 by one of the methods that take any Gauss diagram (`cli.METHODS`
-    rows with no source type), with the Arf invariant and the bound."""
-    from .cli import METHODS
-
-    row = METHODS.get(method)
-    if row is None or row[0] is not None:
-        raise ValueError(f"unknown method {method!r}")
-    return InvariantReport(v2=row[2](diagram, None), arf=arf(diagram),
-                           n=diagram.n, bound=crossing_bound(diagram.n),
-                           method=method)

@@ -24,10 +24,12 @@ against, counts crossings with the bounding-box sweep of `plane.project`.
 Both estimators are deterministic for a fixed (seed, samples) pair: samples
 are drawn in fixed-size chunks from counter-based generators keyed by
 (seed, stream, chunk index) and reduced in chunk order, so the result is
-independent of scheduling and bit-for-bit reproducible.  Samples that fall
-within a small relative distance of a singular (coincident-point)
-configuration are rejected and excluded from both the numerator and the
-sample count, with the rejection count reported.
+independent of scheduling and bit-for-bit reproducible.  linking_mc reads
+stream 0; v2_mc's stratum k reads stream k (1 the simplex integral, 2-4 the
+three 3-point integrals).  Samples that fall within a small relative
+distance of a singular (coincident-point) configuration are rejected and
+excluded from both the numerator and the sample count, with the rejection
+count reported.
 """
 
 from __future__ import annotations
@@ -158,6 +160,14 @@ class _Param:
         return pos, deriv
 
 
+def _chunks(samples: int):
+    """(chunk index, chunk size, samples drawn after it) for the fixed-size
+    chunks that cover `samples`, the last one possibly short."""
+    for chunk, start in enumerate(range(0, samples, CHUNK)):
+        end = min(start + CHUNK, samples)
+        yield chunk, end - start, end
+
+
 def _check_samples(*counts: int) -> None:
     if any(n < 1 for n in counts):
         raise ValueError(f"sample counts must be at least 1, got {min(counts)}")
@@ -178,17 +188,12 @@ def linking_mc(loop1, loop2, samples: int, seed: int = 0) -> McEstimate:
     par2 = _Param(_vertices_of(loop2), long=False)
     scale = max(par1.scale, par2.scale)
     acc = _Accumulator()
-    done = 0
-    chunk = 0
-    while done < samples:
-        m = min(CHUNK, samples - done)
+    for chunk, m, _ in _chunks(samples):
         u = _rng(seed, 0, chunk).random((m, 2))
         p1, d1 = par1.eval(u[:, 0])
         p2, d2 = par2.eval(u[:, 1])
         vals, valid = _omega_hat(p1 - p2, d1, d2, scale)
         acc.add(vals, valid)
-        done += m
-        chunk += 1
     return McEstimate(acc.mean(), acc.std_error(), acc.n, seed, acc.rejected)
 
 
@@ -275,9 +280,11 @@ def _integrand_x(par: _Param, u4: np.ndarray):
     return -(g13 * g42) / 24.0, ok1 & ok2
 
 
-def _tripod(par, u3, u, which: int):
-    """The three 3-point integrals; `which` selects the integrand."""
-    t = np.sort(u3, axis=1)
+def _tripod(par: _Param, r: np.ndarray, which: int):
+    """The three 3-point integrals, `which` (2, 3 or 4) selecting one, from
+    a raw (m, 4) draw: three curve parameters and the line parameter."""
+    t = np.sort(r[:, :3], axis=1)
+    u = np.clip(r[:, 3], 0.0, 1 - 1e-9)
     pos, der = par.eval(t)
     x1, x2, x3 = pos[:, 0], pos[:, 1], pos[:, 2]
     d1, d2, d3 = der[:, 0], der[:, 1], der[:, 2]
@@ -325,28 +332,17 @@ def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
     accs = [_Accumulator() for _ in range(4)]
     out = []
     cp = sorted(set(checkpoints))
-    done = 0
-    chunk = 0
-    per_stream = (samples + 3) // 4
-    while done < per_stream:
-        m = min(CHUNK, per_stream - done)
-        u = _rng(seed, 1, chunk).random((m, 4))
-        vals, ok = _integrand_x(par, u)
+    # the last chunk brings `done` to ceil(samples / 4), so every
+    # checkpoint (at most `samples`) is reported inside the loop
+    for chunk, m, done in _chunks((samples + 3) // 4):
+        vals, ok = _integrand_x(par, _rng(seed, 1, chunk).random((m, 4)))
         accs[0].add(_STRATUM_SIGNS[0] * vals, ok)
-        for which, stream in ((2, 2), (3, 3), (4, 4)):
-            r = _rng(seed, stream, chunk).random((m, 4))
-            vals, ok = _tripod(par, r[:, :3], np.clip(r[:, 3], 0.0, 1 - 1e-9),
-                               which)
-            w = 0.5 * _STRATUM_SIGNS[which - 1]
-            accs[which - 1].add(w * vals, ok)
-        done += m
-        chunk += 1
+        for k in (2, 3, 4):
+            vals, ok = _tripod(par, _rng(seed, k, chunk).random((m, 4)), k)
+            accs[k - 1].add(0.5 * _STRATUM_SIGNS[k - 1] * vals, ok)
         while cp and done * 4 >= cp[0]:
             out.append(_combine(accs, seed))
             cp.pop(0)
-    while cp:
-        out.append(_combine(accs, seed))
-        cp.pop(0)
     return out
 
 

@@ -49,13 +49,13 @@ def _bigons(order: list[tuple[int, str]],
 
 # Word-level rewriting.  All four sign variants of the triple relation are
 # single strand-slides on the closure diagram.
-_TRIPLE_REWRITES = [
+_TRIPLE_REWRITES = {
     # (sa, sb, sc) pattern on generators (i, j, i) -> replacement on (j, i, j)
-    ((1, 1, 1), (1, 1, 1)),
-    ((-1, -1, -1), (-1, -1, -1)),
-    ((1, 1, -1), (-1, 1, 1)),
-    ((-1, 1, 1), (1, 1, -1)),
-]
+    (1, 1, 1): (1, 1, 1),
+    (-1, -1, -1): (-1, -1, -1),
+    (1, 1, -1): (-1, 1, 1),
+    (-1, 1, 1): (1, 1, -1),
+}
 
 
 def _triple_sites(word: list[int]) -> list[tuple[int, tuple]]:
@@ -64,9 +64,8 @@ def _triple_sites(word: list[int]) -> list[tuple[int, tuple]]:
         a, b, c = word[p:p + 3]
         if abs(a) == abs(c) and abs(abs(a) - abs(b)) == 1:
             pat = (1 if a > 0 else -1, 1 if b > 0 else -1, 1 if c > 0 else -1)
-            for src, dst in _TRIPLE_REWRITES:
-                if pat == src:
-                    sites.append((p, dst))
+            if pat in _TRIPLE_REWRITES:
+                sites.append((p, _TRIPLE_REWRITES[pat]))
     return sites
 
 
@@ -92,9 +91,12 @@ class MoveEngine:
         # on the empty word (one strand) a letter pair closes to two
         # components, so only a stabilization keeps a knot
         choices = ["r2_word", "conjugate", "stabilize"] if w else ["stabilize"]
-        if _triple_sites(w):
+        triples = _triple_sites(w)
+        commutes = [p for p in range(len(w) - 1)
+                    if abs(abs(w[p]) - abs(w[p + 1])) >= 2]
+        if triples:
             choices.append("triple")
-        if any(abs(abs(a) - abs(b)) >= 2 for a, b in zip(w, w[1:])):
+        if commutes:
             choices.append("commute")
         kind = rng.choice(choices)
         if kind == "r2_word":
@@ -107,13 +109,11 @@ class MoveEngine:
         elif kind == "stabilize":
             self.word = w + [rng.choice([k, -k])]
         elif kind == "triple":
-            p, dst = rng.choice(_triple_sites(w))
+            p, dst = rng.choice(triples)
             i, j = abs(w[p]), abs(w[p + 1])
             self.word = w[:p] + [dst[0] * j, dst[1] * i, dst[2] * j] + w[p + 3:]
         elif kind == "commute":
-            ps = [p for p in range(len(w) - 1)
-                  if abs(abs(w[p]) - abs(w[p + 1])) >= 2]
-            p = rng.choice(ps)
+            p = rng.choice(commutes)
             self.word = w[:p] + [w[p + 1], w[p]] + w[p + 2:]
         return kind
 

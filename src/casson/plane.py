@@ -263,15 +263,18 @@ class PlaneCurve:
 
     def __init__(self, points3, shape: str):
         self.shape = shape
-        self.points3 = [tuple(_frac(c) for c in p) for p in points3]
-        self.points = [(p[0], p[1]) for p in self.points3]
+        pts = [tuple(_frac(c) for c in p) for p in points3]
         if shape == "long":
-            ys = [p[1] for p in self.points]
-            lo, hi = min(ys) - 1, max(ys) + 1
-            first, last = self.points3[0], self.points3[-1]
-            self.points3 = [(first[0], lo, first[2])] + self.points3 + \
-                           [(last[0], hi, last[2])]
-            self.points = [(p[0], p[1]) for p in self.points3]
+            lo = min(p[1] for p in pts) - 1
+            hi = max(p[1] for p in pts) + 1
+            first, last = pts[0], pts[-1]
+            pts = [(first[0], lo, first[2])] + pts + [(last[0], hi, last[2])]
+        self.points3 = pts
+        self.points = [(p[0], p[1]) for p in pts]
+        # (start, end) of each edge, indexed by edge number, as points
+        # (x, y, z): the plane point and its height
+        self.edges = list(zip(pts, pts[1:] + pts[:1] if shape == "closed"
+                              else pts[1:]))
         self._dirs = self._vertex_dirs()
         self._validate_vertices()
         self.crossings = self._find_crossings()
@@ -279,17 +282,9 @@ class PlaneCurve:
 
     # -- construction helpers -------------------------------------------------
 
-    def _edges(self):
-        """(start, end) of each edge, indexed by edge number, as points
-        (x, y, z): the plane point and its height."""
-        pts = self.points3
-        if self.shape == "closed":
-            return list(zip(pts, pts[1:] + pts[:1]))
-        return list(zip(pts, pts[1:]))
-
     @property
     def n_edges(self) -> int:
-        return len(self.points) if self.shape == "closed" else len(self.points) - 1
+        return len(self.edges)
 
     def _validate_vertices(self):
         ys = [p[1] for p in self.points]
@@ -316,8 +311,7 @@ class PlaneCurve:
         """Transversal double points, sorted by first passage parameter:
         the crossing step on each pair of non-adjacent edges from the
         bounding-box sweep `_box_pairs`."""
-        edges = self._edges()
-        n = self.n_edges
+        edges, n = self.edges, self.n_edges
         crossings = []
         seen = set()
         for i, j in _box_pairs(edges):
@@ -433,7 +427,7 @@ def morse_stats(curve: PlaneCurve) -> MorseStats:
 
     # each double point splits the curve into the arc between its two
     # passages (edges int(t1) + 1 .. int(t2) - 1 in full) and the rest
-    edges = curve._edges()
+    edges = curve.edges
     arcs = []
     for c in curve.crossings:
         pre = _ray_prefix(edges, c.point)

@@ -280,6 +280,9 @@ class _StrandTree:
             else:
                 self._hang(gp.right if gp.left is p else gp.left, gp.parent, gp)
             del leaves[i:i + 2]
+            # the detached pair and its parent point at each other: cut
+            # those links so they are freed now, not by the cycle collector
+            a.parent = b.parent = p.parent = a.mate = b.mate = None
         elif ev.kind == "cross":
             a, b = leaves[i], leaves[i + 1]
             a.parent.left, a.parent.right = b, a
@@ -382,12 +385,16 @@ class AssociatorStats:
 
 
 def associator_stats(word: TangleWord) -> AssociatorStats:
-    # source positions of each associator's three branch markers
+    # one walk of the source: the branch numbers of each associator's three
+    # markers in source order, and each crossing's first passage (for the
+    # source-order branch sign)
     branch_order: dict[int, list[int]] = {}
-    for idx, rec in enumerate(word.source):
+    first = {}
+    for rec in word.source:
         if len(rec) == 3:
-            _, aid, branch = rec
-            branch_order.setdefault(aid, []).append(branch)
+            branch_order.setdefault(rec[1], []).append(rec[2])
+        else:
+            first.setdefault(rec[0], rec[1])
     counts = {name: 0 for name in PERM_NAMES.values()}
     for aid, rec in word.assocs.items():
         visits = branch_order.get(aid, [])
@@ -406,11 +413,6 @@ def associator_stats(word: TangleWord) -> AssociatorStats:
             eps = -eps
         counts[name] += eps
 
-    # first-passage data per crossing, for the source-order branch sign
-    first = {}
-    for rec in word.source:
-        if len(rec) == 2 and rec[0] not in first:
-            first[rec[0]] = rec[1]
     X, Xp = x_counts((c.d_over, c.d_under) if first[cid] == "T"
                      else (c.d_under, c.d_over)
                      for cid, c in word.crossings.items())

@@ -538,6 +538,40 @@ def test_chord_cap_after_building(tmp_path, capsys):
     assert tref["v2"] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--letters", "3000000"],
+    ["gen", "--letters", "1", "--moves", str(MAX_CHORDS // 2 + 1)],
+    ["moves-check", "--letters", "4", "--moves", "100000000"],
+    ["moves-check", "--letters", str(MAX_CHORDS + 1), "--moves", "0"],
+])
+def test_generation_over_chord_cap_is_not_run(argv, monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError("started a run over the chord cap")
+
+    monkeypatch.setattr(cli, "random_realizable", forbidden)
+    monkeypatch.setattr(cli, "random_braid_word", forbidden)
+    assert main(argv + ["--seed", "1"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert f"more than the limit of {MAX_CHORDS} chords" in err
+
+
+@pytest.mark.parametrize("command", ["gen", "moves-check"])
+def test_generation_cap_is_letters_plus_twice_moves(command, monkeypatch,
+                                                    capsys):
+    # under a cap of 12, letters + 2 * moves = 12 runs and 13 does not, and
+    # no run builds more chords than the cap
+    monkeypatch.setattr(cli, "MAX_CHORDS", 12)
+    for seed in range(25):
+        code, out = run(capsys, command, "--letters", "4", "--moves", "4",
+                        "--seed", str(seed))
+        assert code == 0
+        if command == "gen":
+            assert out["n_chords"] <= 12
+    assert main([command, "--letters", "5", "--moves", "4"]) == EXIT_VALIDATION
+    assert "is 13, more than the limit of 12" in capsys.readouterr().err
+
+
 # -- golden bytes of the whole CLI --------------------------------------------
 
 import hashlib

@@ -7,8 +7,8 @@ import pytest
 from casson import plane, tangle
 from casson.diagram import (DisagreementError, from_braid_word,
                             parse_gauss_code, torus_knot_2)
-from casson.invariants import (arf, check_bound, crossing_bound, report,
-                               v2_gauss, v2_long, v2_sym, x_counts)
+from casson.invariants import (arf, check_bound, crossing_bound, v2_gauss,
+                               v2_long, v2_sym, x_counts)
 from casson.pairing import XFB, X_ALL, bracket
 from casson.plane import polyknot_from_braid, project, v2_morse, v2_morse_closed
 from casson.skein import v2_skein
@@ -74,13 +74,6 @@ def test_crossing_bound_values():
 def test_arf_parity(diagram_corpus):
     for g in diagram_corpus[:100]:
         assert arf(g) == v2_gauss(g) % 2
-
-
-def test_report_roundtrip(trefoil):
-    rep = report(trefoil, method="skein")
-    d = rep.to_dict()
-    assert d["v2"] == 1 and d["arf"] == 1 and d["method"] == "skein"
-    assert d["bound"] == 1 and d["n"] == 3
 
 
 # -- the shared v2 formula core against the formulas it replaced -------------
@@ -239,16 +232,3 @@ def test_x_counts_matches_previous_rule():
         eps = (cr > 0) - (cr < 0)
         plus = s1 == s2 and ((s1 > 0 and eps > 0) or (s1 < 0 and eps < 0))
         assert x_counts([(d1, d2)]) == (int(s1 == s2), int(plus))
-
-
-@pytest.mark.parametrize("method", ["gauss", "sym", "skein"])
-def test_report_methods(method, trefoil, figure_eight):
-    assert report(trefoil, method).v2 == 1
-    rep = report(figure_eight, method)
-    assert (rep.v2, rep.arf, rep.n, rep.method) == (-1, 1, 4, method)
-
-
-@pytest.mark.parametrize("method", ["morse", "natangle", "all", "bogus"])
-def test_report_rejects_methods_that_need_a_source(method, trefoil):
-    with pytest.raises(ValueError, match=f"unknown method '{method}'"):
-        report(trefoil, method)
