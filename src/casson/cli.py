@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 parse error, 2 validation/genericity error
 (an input over MAX_CHORDS chords among them, and a `gen` or `moves-check`
-run whose --letters + 2 * --moves exceeds it), 3 cross-method disagreement
+run whose --letters + 2 * --moves exceeds it, and an `integrate` run over
+MAX_SAMPLES samples), 3 cross-method disagreement
 (always a bug).  The default seed is taken from the CASSON_SEED
 environment variable when set; a value that is not an integer is a parse
 error.  Tangle words are read as long knots.
@@ -47,6 +48,11 @@ EXIT_DISAGREE = 3
 # Most chords an input may have: the skein descent is quadratic, and
 # T(10001,2) already takes seconds under --method all.
 MAX_CHORDS = 20001
+
+# Most samples `integrate` may draw: 10**7 take about 4.5 s on a 2-vCPU
+# machine, so the cap is minutes.  It is here and not in mcint, whose numpy
+# import the other commands do not pay for.
+MAX_SAMPLES = 10**9
 
 # name -> (source type needed, or None for any diagram; skip reason without
 # it; run(diagram, source)).  The callables look their functions up in this
@@ -276,6 +282,9 @@ def _cmd_integrate(args) -> int:
 
     seed = args.seed if args.seed is not None else _default_seed()
     _check_count("--samples", args.samples, least=1)
+    if args.samples > MAX_SAMPLES:
+        raise CliError(f"--samples is {args.samples}, more than the limit of "
+                       f"{MAX_SAMPLES}", EXIT_VALIDATION)
     try:
         with open(args.knot) as fh:
             knot = PolyKnot.from_json(fh.read())

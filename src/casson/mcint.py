@@ -17,7 +17,9 @@ which integrates to 1 over the unit sphere:
     t = -u/(1-u) and t = 1/(1-u).
 
 The two estimators sample their curves through one parametrization of a
-polygon, closed or long, one equal parameter slot per edge (`_Param`).
+polygon, closed or long, one equal parameter slot per edge (`_Param`).  The
+kernel is component-major: each coordinate is one contiguous array, and
+`_omega_hat` sums its dot product as (x + z) + y, numpy 2.4 einsum's order.
 lk_combinatorial, the exact linking number that linking_mc is checked
 against, counts crossings with the bounding-box sweep of `plane.project`.
 
@@ -98,19 +100,19 @@ class _Accumulator:
 def _omega_hat(v: np.ndarray, a: np.ndarray, b: np.ndarray,
                scale: float) -> tuple[np.ndarray, np.ndarray]:
     """(values, valid mask) of the normalized solid-angle coefficient."""
-    norm = np.linalg.norm(v, axis=-1)
+    (x, y, z), (ax, ay, az), (bx, by, bz) = (np.moveaxis(w, -1, 0)
+                                             for w in (v, a, b))
+    norm = np.sqrt(x * x + y * y + z * z)
     valid = norm > _REJECT_EPS * scale
     safe = np.where(valid, norm, 1.0)
-    num = np.einsum("...i,...i->...", v, np.cross(a, b))
+    # a x b as np.cross forms it, dotted as einsum sums it: (x + z) + y
+    num = ((x * (ay * bz - az * by) + z * (ax * by - ay * bx))
+           + y * (az * bx - ax * bz))
     return num / (4.0 * math.pi * safe ** 3), valid
 
 
 # ---------------------------------------------------------------------------
 # the polygon parametrization over (0,1)
-
-_DOWN = np.array([0.0, -1.0, 0.0])
-_UP = np.array([0.0, 1.0, 0.0])
-
 
 class _Param:
     """Parametrization t in (0,1) of a closed or long polygonal curve, one
@@ -118,11 +120,16 @@ class _Param:
 
     The integrands are pulled-back differential forms, so any
     orientation-preserving parametrization gives the same integrals.  A
-    long knot has one more slot at each end for its straight tail, with a
-    projective stretch t -> length/(1 - t)-style so the slot covers the
-    whole infinite ray.  Every sample is first evaluated as a point on a
-    straight edge of a padded (start, edge) table; then only the samples in
-    the two tail slots are overwritten.
+    long knot has one more slot at each end for its straight tail along -y
+    and +y, with a projective stretch t -> length/(1 - t)-style so the slot
+    covers the whole infinite ray.
+
+    `start` and `edge` are (3, n) tables, one row per coordinate.  eval
+    evaluates every sample on a straight edge of the padded table, into
+    (3, ...) buffers.  A tail slot's edge is a signed zero ((-0, 0, -0) low,
+    0 high), which leaves x and z at the end vertex with the ray's zero
+    derivative, so only y is overwritten in the tail slots.  eval returns
+    (..., 3) views of the buffers, and `pos[..., k]` is contiguous.
     """
 
     def __init__(self, vertices, long: bool):
@@ -131,33 +138,36 @@ class _Param:
         diameter = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
         self.scale = max(diameter, 1.0)
         if long:
-            pad = np.zeros((1, 3))
-            self.start = np.concatenate((v[:1], v[:-1], v[-1:]))
-            self.edge = np.concatenate((pad, v[1:] - v[:-1], pad))
+            start = np.concatenate((v[:1], v[:-1], v[-1:]))
+            edge = np.concatenate(([[-0.0, 0.0, -0.0]], v[1:] - v[:-1],
+                                   np.zeros((1, 3))))
         else:
-            self.start = v
-            self.edge = np.roll(v, -1, axis=0) - v
+            start, edge = v, np.roll(v, -1, axis=0) - v
+        self.start = np.ascontiguousarray(start.T)
+        self.edge = np.ascontiguousarray(edge.T)
 
     def eval(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(position, d position / dt) arrays; t strictly inside (0,1)."""
-        n = len(self.start)
+        n = self.start.shape[1]
         x = t * n
         seg = np.minimum(x.astype(int), n - 1)
         s = x - seg
-        edge = self.edge[seg]
-        pos = self.start[seg] + s[..., None] * edge
+        edge = self.edge.take(seg, axis=1)
+        pos = self.start.take(seg, axis=1)
+        pos += s * edge
         deriv = edge * n
         if self.long:
             L = self.scale
+            y, dy = pos[1], deriv[1]
             lo = seg == 0
             s0 = np.clip(s[lo], 1e-12, 1.0)
-            pos[lo] = self.start[0] + _DOWN * (L * (1.0 - s0) / s0)[:, None]
-            deriv[lo] = -_DOWN * (L / s0 ** 2)[:, None] * n
+            y[lo] = self.start[1, 0] - L * (1.0 - s0) / s0
+            dy[lo] = L / s0 ** 2 * n
             hi = seg == n - 1
             s1 = np.clip(s[hi], 0.0, 1.0 - 1e-12)
-            pos[hi] = self.start[-1] + _UP * (L * s1 / (1.0 - s1))[:, None]
-            deriv[hi] = _UP * (L / (1.0 - s1) ** 2)[:, None] * n
-        return pos, deriv
+            y[hi] = self.start[1, -1] + L * s1 / (1.0 - s1)
+            dy[hi] = L / (1.0 - s1) ** 2 * n
+        return np.moveaxis(pos, 0, -1), np.moveaxis(deriv, 0, -1)
 
 
 def _chunks(samples: int):

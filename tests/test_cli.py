@@ -572,6 +572,29 @@ def test_generation_cap_is_letters_plus_twice_moves(command, monkeypatch,
     assert "is 13, more than the limit of 12" in capsys.readouterr().err
 
 
+# -- the sample cap -------------------------------------------------------------
+
+from casson.cli import MAX_SAMPLES
+
+
+def test_integrate_over_sample_cap_exits_before_reading(capsys):
+    # the path does not exist, so exit 2 shows the cap is checked first
+    assert main(["integrate", "--knot", "/nonexistent.json", "--samples",
+                 str(MAX_SAMPLES + 1)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert f"is {MAX_SAMPLES + 1}, more than the limit of {MAX_SAMPLES}" \
+        in err
+
+
+def test_integrate_at_sample_cap_reads_the_file(capsys):
+    assert main(["integrate", "--knot", "/nonexistent.json", "--samples",
+                 str(MAX_SAMPLES)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert err.startswith("casson: cannot read knot file")
+
+
 # -- golden bytes of the whole CLI --------------------------------------------
 
 import hashlib
