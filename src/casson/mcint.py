@@ -140,7 +140,7 @@ class _Param:
         if long:
             start = np.concatenate((v[:1], v[:-1], v[-1:]))
             edge = np.concatenate(([[-0.0, 0.0, -0.0]], v[1:] - v[:-1],
-                                   np.zeros((1, 3))))
+                                   [[0.0, 0.0, 0.0]]))
         else:
             start, edge = v, np.roll(v, -1, axis=0) - v
         self.start = np.ascontiguousarray(start.T)

@@ -68,11 +68,10 @@ def test_rejection_threshold():
     axes = np.concatenate((np.eye(3), -np.eye(3)))
     dirs = rng.standard_normal((200, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    for unit in (axes, dirs):
+    for unit in (dirs, axes):
         v = (unit[:, None, :] * radii[:, None]).reshape(-1, 3)
         a, b = rng.standard_normal((2,) + v.shape)
         _check(v, a, b, scale)
     # along an axis the norm is exact, so only the radii above the edge pass
-    v = (axes[:, None, :] * radii[:, None]).reshape(-1, 3)
-    _, ok = mcint._omega_hat(v, v, v, scale)
+    _, ok = mcint._omega_hat(v, a, b, scale)
     assert np.array_equal(ok, np.tile(radii > edge, len(axes)))
