@@ -124,3 +124,38 @@ def test_positions_must_be_0_to_2n_minus_1(ends):
         GaussDiagram(chords)
     ok = [Chord(1, 0, 2, 1), Chord(2, 3, 1, -1)]
     assert GaussDiagram(ok).at == (0, 1, 0, 1)
+
+
+# One input per rejection branch of the Gauss and PD parsers; only the
+# exception type is pinned, not the message.
+@pytest.mark.parametrize("code", [
+    "O1+O1+",      # a token listed twice
+    "O1+U1+U1+",   # a third token for one label
+    "U1+",         # a chord with one endpoint
+    "O1+U1-",      # O and U signs disagree
+    "O1+U2+",      # two half chords
+    "Z9*",         # not a token
+])
+def test_parse_gauss_rejects(code):
+    with pytest.raises(DiagramError):
+        parse_gauss_code(code)
+
+
+@pytest.mark.parametrize("code", [
+    "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2] X[7]",  # unparsed fragment
+    "X[1,5,2,4] X[3,1,4,6]",                  # edges are not 1..2n
+    "X[1,5,3,4] X[2,1,4,6] X[5,2,6,3]",       # under pair not consecutive
+    "X[2,5,1,4] X[3,1,4,6] X[5,3,6,2]",       # under pair reversed
+    "X[1,5,2,4] X[1,3,2,6] X[5,3,6,4]",       # edge 1 enters two crossings
+    "X[1,6,2,4] X[3,1,4,5] X[5,3,6,2]",       # over pair not consecutive
+    "X[4,1,3,2] X[2,3,1,4]",                  # Hopf link: two components
+], ids=["fragment", "edge_count", "under_apart", "under_reversed",
+       "enters_twice", "over_apart", "hopf"])
+def test_parse_pd_rejects(code):
+    with pytest.raises(DiagramError):
+        parse_pd_code(code)
+
+
+def test_pd_code_figure_eight():
+    g = parse_pd_code("X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
+    assert g.serialize() == "O1+U2-O3-U1+O4+U3-O2-U4+"

@@ -33,6 +33,30 @@ def test_random_realizable_and_engine_golden():
         "a5b81f86f409cc70ef7bf09d66409d2b546f3da729f2d6e175074e25d8ef6994")
 
 
+def _ladder_moves_digest():
+    """SHA-256 over random_realizable's Gauss code at ladder sizes (100, 150
+    and 200 letters, 12 moves, seeds 0-9) and over a 200-move MoveEngine
+    history on a 40-letter word: each move kind and the diagram after it."""
+    h = hashlib.sha256()
+    for seed in range(10):
+        for letters in (100, 150, 200):
+            h.update(random_realizable(seed, letters, 12).serialize().encode()
+                     + b"\0")
+    rng = random.Random(0)
+    engine = MoveEngine(word=random_braid_word(rng, 40))
+    for _ in range(200):
+        kind = engine.random_move(rng)
+        h.update(f"{kind} {engine.diagram().serialize()}".encode() + b"\0")
+    return h.hexdigest()
+
+
+def test_ladder_size_golden():
+    # the first golden stops at 12 letters and 12 moves; this one pins the
+    # draws where diagrams have hundreds of chords and moves pile up
+    assert _ladder_moves_digest() == (
+        "f54ab4e6224d671b54282141a5802c9de5eb106dc41b68b25c15468d5b9bffa8")
+
+
 MOVE_KINDS = {"r2_word", "conjugate", "stabilize", "triple", "commute",
               "r1_insert", "r1_remove", "r2_finger", "r2_remove", "basepoint"}
 
