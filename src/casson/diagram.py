@@ -10,10 +10,9 @@ Every method reads only the order of the endpoints around the circle, so
 a chord's endpoints are integer indices: the 2n endpoints of a diagram sit
 at 0..2n-1, numbered from the base point along the orientation.  The
 diagram is stored once, as integer arrays indexed by chord (ids, tail,
-head, sign) plus the chord at each endpoint (at).  A move that inserts or
-deletes chords edits the endpoint order (`GaussDiagram.order`) and builds
-a new diagram from it (`GaussDiagram.from_endpoint_order`) rather than
-editing positions.
+head, sign) plus the chord at each endpoint (at).  The constructors build
+the endpoint order, a list of (chord id, 'T'|'H') tokens, and hand it to
+`GaussDiagram.from_endpoint_order`, the one place that checks it.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ __all__ = [
     "parse_pd_code",
     "braid_strands",
     "closure_walk",
+    "braid_order",
     "from_braid_word",
     "torus_knot_2",
 ]
@@ -148,27 +148,18 @@ def parse_gauss_code(text: str, shape: Literal["closed", "long"] = "closed") -> 
     """
     stripped = "".join(text.split())
     order: list[tuple[int, str]] = []
-    seen: dict[int, dict[str, int]] = {}
+    signs: dict[int, int] = {}
     i = 0
     while i < len(stripped):
         m = _GAUSS_TOKEN.match(stripped, i)
         if not m:
             raise DiagramError(f"bad Gauss code token at {stripped[i:i+8]!r}")
         letter, label, sgn = m.group(1), int(m.group(2)), 1 if m.group(3) == "+" else -1
-        rec = seen.setdefault(label, {})
-        if letter in rec:
-            raise DiagramError(f"label {label}: duplicate {letter} token")
-        rec[letter] = sgn
+        if signs.setdefault(label, sgn) != sgn:
+            raise DiagramError(f"label {label}: O and U signs disagree")
         # O token is the overpass: chord tail.  U token is the head.
         order.append((label, "T" if letter == "O" else "H"))
         i = m.end()
-    signs = {}
-    for label, rec in seen.items():
-        if set(rec) != {"O", "U"}:
-            raise DiagramError(f"label {label}: needs exactly one O and one U token")
-        if rec["O"] != rec["U"]:
-            raise DiagramError(f"label {label}: O and U signs disagree")
-        signs[label] = rec["O"]
     return GaussDiagram.from_endpoint_order(order, signs, shape=shape)
 
 
@@ -178,42 +169,30 @@ _PD_TUPLE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
 def parse_pd_code(text: str) -> GaussDiagram:
     """Parse a planar-diagram code ``X[a,b,c,d] X[...] ...``.
 
-    Edges are numbered 1..2n along the orientation; in each tuple `a` is the
-    incoming under-edge and (b, c, d) continue counterclockwise.  The diagram
-    is traversed from edge 1.
+    Edges are numbered 1..2n along the orientation, so edge e is traversed
+    at step e.  In each tuple `a` is the incoming under-edge, `c = a + 1`
+    (mod 2n) the outgoing one, and (b, c, d) continue counterclockwise.  The
+    base point is at the start of edge 1.
     """
     cleaned = text.replace(",X", " X").strip()
     tuples = [tuple(int(g) for g in m.groups()) for m in _PD_TUPLE.finditer(cleaned)]
     leftover = _PD_TUPLE.sub("", cleaned).strip(" ,;\n\t")
     if leftover:
         raise DiagramError(f"unparsed PD code fragment {leftover!r}")
-    if not tuples:
-        return GaussDiagram([])
-    n = len(tuples)
-    nedges = 2 * n
-    edge_use: dict[int, int] = {}
-    for t in tuples:
-        for e in t:
-            edge_use[e] = edge_use.get(e, 0) + 1
-    bad = [e for e, k in edge_use.items() if k != 2]
-    if bad or set(edge_use) != set(range(1, nedges + 1)):
+    nedges = 2 * len(tuples)
+    if sorted(e for t in tuples for e in t) != sorted(2 * list(range(1, nedges + 1))):
         raise DiagramError("PD code edges must be 1..2n, each used exactly twice")
 
     def succ(e: int) -> int:
         return e % nedges + 1
 
-    # next_edge[e] = edge leaving the crossing that e enters; also record
-    # the passage (crossing index, 'O'|'U') and the crossing sign.
-    next_edge: dict[int, int] = {}
+    # passage[e] = the endpoint at the crossing that edge e enters
     passage: dict[int, tuple[int, str]] = {}
     signs: dict[int, int] = {}
     for ci, (a, b, c, d) in enumerate(tuples, start=1):
-        if succ(a) != c and succ(c) != a:
-            raise DiagramError(f"crossing {ci}: under-strand edges {a},{c} not consecutive")
-        if a in next_edge:
-            raise DiagramError(f"edge {a} enters two crossings as under-edge")
-        next_edge[a] = c
-        passage[a] = (ci, "U")
+        if c != succ(a):
+            raise DiagramError(f"crossing {ci}: under-strand edge {c} does not "
+                               f"follow edge {a}")
         # Over strand: whichever of b, d is the other's successor leaves.
         if succ(d) == b:
             over_in, sign = d, +1
@@ -221,23 +200,14 @@ def parse_pd_code(text: str) -> GaussDiagram:
             over_in, sign = b, -1
         else:
             raise DiagramError(f"crossing {ci}: over-strand edges {b},{d} not consecutive")
-        if over_in in next_edge:
-            raise DiagramError(f"edge {over_in} enters two crossings twice")
-        next_edge[over_in] = d if over_in == b else b
-        passage[over_in] = (ci, "O")
+        for e, kind in ((a, "H"), (over_in, "T")):
+            if e in passage:
+                raise DiagramError(f"edge {e} enters two crossings")
+            passage[e] = (ci, kind)
         signs[ci] = sign
-
-    order: list[tuple[int, str]] = []
-    e = 1
-    for _ in range(nedges):
-        if e not in passage:
-            raise DiagramError("inconsistent edge incidences in PD code")
-        ci, ou = passage[e]
-        order.append((ci, "T" if ou == "O" else "H"))
-        e = next_edge[e]
-    if e != 1 or len(order) != nedges:
-        raise DiagramError("PD code is not a single knot component")
-    return GaussDiagram.from_endpoint_order(order, signs)
+    # 2n distinct edges of 1..2n enter a crossing: every edge, once
+    return GaussDiagram.from_endpoint_order(
+        [passage[e] for e in range(1, nedges + 1)], signs)
 
 
 _BRAID_TOKEN = re.compile(r"(-?)s?([1-9][0-9]*)$")
@@ -295,24 +265,27 @@ def closure_walk(letters: list[int]) -> list[list[int]]:
     return walk
 
 
-def from_braid_word(word: str | list[int]) -> GaussDiagram:
-    """Long based Gauss diagram of the closure of a braid word, cut on strand 1.
-
-    The word is over generators ``s1 .. s(k-1)`` and inverses (``-s2``), where
-    k is one more than the largest generator index; a positive letter crosses
-    the strand entering at position i over the one at position i+1.  The
-    endpoints are read off `closure_walk`, which rejects a closure that is
-    not a single component.
-    """
-    letters = parse_braid_tokens(word) if isinstance(word, str) else list(word)
+def braid_order(letters: list[int]) -> tuple[list[tuple[int, str]], dict[int, int]]:
+    """Endpoint order and chord signs of `from_braid_word`, chord i being the
+    i-th letter, read off `closure_walk` (which rejects a link)."""
     order: list[tuple[int, str]] = []
     for path in closure_walk(letters):
         for ci, (a, here, there) in enumerate(zip(letters, path, path[1:]),
                                               start=1):
             if here != there:
                 order.append((ci, "T" if (a > 0) == (there > here) else "H"))
-    signs = {ci: (1 if a > 0 else -1) for ci, a in enumerate(letters, start=1)}
-    return GaussDiagram.from_endpoint_order(order, signs, shape="long")
+    return order, {ci: (1 if a > 0 else -1) for ci, a in enumerate(letters, start=1)}
+
+
+def from_braid_word(word: str | list[int]) -> GaussDiagram:
+    """Long based Gauss diagram of the closure of a braid word, cut on strand 1.
+
+    The word is over generators ``s1 .. s(k-1)`` and inverses (``-s2``), where
+    k is one more than the largest generator index; a positive letter crosses
+    the strand entering at position i over the one at position i+1.
+    """
+    letters = parse_braid_tokens(word) if isinstance(word, str) else list(word)
+    return GaussDiagram.from_endpoint_order(*braid_order(letters), shape="long")
 
 
 def torus_knot_2(n: int) -> GaussDiagram:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import random
 
-from .diagram import (DiagramError, GaussDiagram, braid_strands, closure_walk,
-                      from_braid_word)
+from .diagram import (DiagramError, GaussDiagram, braid_order, braid_strands,
+                      closure_walk, from_braid_word)
 
 __all__ = ["MoveEngine", "random_realizable"]
 
@@ -35,16 +35,12 @@ def _bigons(order: list[tuple[int, str]],
             signs: dict[int, int]) -> list[tuple[int, int]]:
     """Empty bigons: chord pairs adjacent at both ends, one strand over both,
     opposite signs."""
-    adj: dict[frozenset, list[tuple[str, str]]] = {}
-    for (ida, ka), (idb, kb) in zip(order, order[1:]):
-        if ida != idb:
-            adj.setdefault(frozenset((ida, idb)), []).append((ka, kb))
-    bigons = []
-    for pair, contacts in adj.items():
-        a, b = sorted(pair)
-        if sorted(contacts) == [("H", "H"), ("T", "T")] and signs[a] != signs[b]:
-            bigons.append((a, b))
-    return bigons
+    contacts: dict[tuple[int, int], list[str]] = {}
+    for (a, ka), (b, kb) in zip(order, order[1:]):
+        if a != b:
+            contacts.setdefault((min(a, b), max(a, b)), []).append(ka + kb)
+    return [(a, b) for (a, b), kinds in contacts.items()
+            if sorted(kinds) == ["HH", "TT"] and signs[a] != signs[b]]
 
 
 # Word-level rewriting.  All four sign variants of the triple relation are
@@ -72,18 +68,20 @@ def _triple_sites(word: list[int]) -> list[tuple[int, tuple]]:
 class MoveEngine:
     """Random-move driver that starts from a braid word.
 
-    Word-level moves apply while the word form is retained; once a
-    diagram-only move runs, the engine holds a bare diagram from then on.
+    Word-level moves apply while the word form is retained.  The first
+    diagram-only move replaces the word by the endpoint order and chord
+    signs of its closure, which every later move edits in place.
     """
 
     def __init__(self, word: list[int]):
         self.word = word
-        self._diagram = None
+        self.order: list[tuple[int, str]] = []
+        self.signs: dict[int, int] = {}
 
     def diagram(self) -> GaussDiagram:
         if self.word is not None:
             return from_braid_word(self.word)
-        return self._diagram
+        return GaussDiagram.from_endpoint_order(self.order, self.signs, shape="long")
 
     def _word_move(self, rng: random.Random) -> str | None:
         w = self.word
@@ -118,10 +116,10 @@ class MoveEngine:
         return kind
 
     def _diagram_move(self, rng: random.Random) -> str:
-        g = self.diagram()
-        self.word = None
-        order = g.order()
-        signs = dict(zip(g.ids, g.sign))
+        if self.word is not None:
+            self.order, self.signs = braid_order(self.word)
+            self.word = None
+        order, signs = self.order, self.signs
         kinks, bigons = _kinks(order), _bigons(order, signs)
         kinds = ["r1_insert", "r2_finger", "basepoint"]
         if kinks:
@@ -144,13 +142,12 @@ class MoveEngine:
                 signs[c], signs[d] = sign, -sign
         elif kind == "basepoint":
             steps = rng.randrange(1, max(len(order), 2))
-            order = order[steps:] + order[:steps]
+            order[:] = order[steps:] + order[:steps]
         else:
             gone = (rng.choice(kinks),) if kind == "r1_remove" else rng.choice(bigons)
-            order = [e for e in order if e[0] not in gone]
+            order[:] = [e for e in order if e[0] not in gone]
             for cid in gone:
                 del signs[cid]
-        self._diagram = GaussDiagram.from_endpoint_order(order, signs, shape=g.shape)
         return kind
 
     def random_move(self, rng: random.Random) -> str:
