@@ -182,6 +182,10 @@ class _StrandTree:
     `apply` does not check legality: `illegal` does."""
 
     def __init__(self, shape: str):
+        # the one shape check: parsing traces a word through a tree, and
+        # generation grows one
+        if shape not in ("closed", "long"):
+            raise TangleError(f"shape must be 'closed' or 'long', got {shape!r}")
         self.root = _Leaf("u", deque()) if shape == "long" else None
         self.leaves = [self.root] if shape == "long" else []
 

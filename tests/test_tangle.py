@@ -91,6 +91,13 @@ def test_shape_guards():
         v2_natangle(closed_word)
 
 
+def test_unknown_shape_rejected():
+    with pytest.raises(TangleError, match="'bogus'"):
+        parse_tangle("MIN@1:u\nMAX@1:u\n", shape="bogus")
+    with pytest.raises(ValueError, match="'bogus'"):
+        random_tangle_word(1, 4, shape="bogus")
+
+
 # -- golden digests of the generator and the tracer ---------------------------
 
 import hashlib
