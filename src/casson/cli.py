@@ -10,10 +10,10 @@ Subcommands:
     batch       CSV table of inputs, one result record per row
 
 Exit codes: 0 success, 1 parse error, 2 validation/genericity error
-(an input over MAX_CHORDS chords among them, and a `gen` or `moves-check`
-run whose --letters + 2 * --moves exceeds it, and an `integrate` run over
-MAX_SAMPLES samples), 3 cross-method disagreement
-(always a bug).  The default seed is taken from the CASSON_SEED
+(among them an input over MAX_CHORDS chords, a polyknot over MAX_VERTICES
+vertices, a `gen` or `moves-check` run whose --letters + 2 * --moves
+exceeds MAX_CHORDS, and an `integrate` run over MAX_SAMPLES samples),
+3 cross-method disagreement (always a bug).  The default seed is taken from the CASSON_SEED
 environment variable when set; a value that is not an integer is a parse
 error.  Tangle words are read as long knots.
 """
@@ -48,6 +48,12 @@ EXIT_DISAGREE = 3
 # Most chords an input may have: the skein descent is quadratic, and
 # T(10001,2) already takes seconds under --method all.
 MAX_CHORDS = 20001
+
+# Most vertices a polyknot input may have: the Morse indices take one O(E)
+# pass per double point and extremum, so the chord cap alone does not bound
+# a polyknot run.  A 4000-vertex zigzag with 19740 crossings takes about
+# 7 minutes under --method all on a 2-vCPU machine.
+MAX_VERTICES = 4000
 
 # Most samples `integrate` may draw: 10**7 take about 4.5 s on a 2-vCPU
 # machine, so the cap is minutes.  It is here and not in mcint, whose numpy
@@ -95,6 +101,9 @@ def _parse_input(args) -> tuple[GaussDiagram, object]:
                        EXIT_PARSE)
     kind = kinds[0]
     payload = getattr(args, kind)
+    if not isinstance(payload, str):
+        # argparse reads `--gauss=--` as an empty list, not as "--"
+        raise CliError(f"--{kind} needs a value", EXIT_PARSE)
     return _build_input(kind, payload)
 
 
@@ -128,7 +137,12 @@ def _read_input(kind: str, payload: str) -> tuple[GaussDiagram, object]:
                 with open(payload) as fh:
                     text = fh.read()
             if kind == "polyknot":
-                curve = project(PolyKnot.from_json(text))
+                knot = PolyKnot.from_json(text)
+                if len(knot.vertices) > MAX_VERTICES:
+                    raise CliError(f"polyknot input has {len(knot.vertices)} "
+                                   f"vertices, more than the limit of "
+                                   f"{MAX_VERTICES}", EXIT_VALIDATION)
+                curve = project(knot)
                 return curve.gauss_diagram(), curve
             word = parse_tangle(text)
             return gauss_of_tangle(word), word

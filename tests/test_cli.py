@@ -538,6 +538,34 @@ def test_chord_cap_after_building(tmp_path, capsys):
     assert tref["v2"] == 1
 
 
+def test_polyknot_over_vertex_cap_is_not_projected(tmp_path, monkeypatch,
+                                                    capsys):
+    knot = polyknot_from_braid([1, 1, 1], closed=False)
+    n = len(knot.vertices)
+    monkeypatch.setattr(cli, "MAX_VERTICES", n)
+    code, out = run(capsys, "v2", "--polyknot", knot.to_json(), "--method", "all")
+    assert code == 0 and out["v2"] == 1
+
+    def forbidden(knot):
+        raise AssertionError("projected a polyknot over the vertex cap")
+
+    monkeypatch.setattr(cli, "MAX_VERTICES", n - 1)
+    monkeypatch.setattr(cli, "project", forbidden)
+    assert main(["v2", "--polyknot", knot.to_json()]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert f"polyknot input has {n} vertices, more than the limit of {n - 1}" in err
+    table = tmp_path / "t.csv"
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows([["big", "polyknot", knot.to_json()],
+                                  ["tref", "braid", "s1 s1 s1"]])
+    code, out = run(capsys, "batch", str(table))
+    assert code == 0
+    big, tref = out["records"]
+    assert big["error"] == err.strip().removeprefix("casson: ")
+    assert tref["v2"] == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--letters", "3000000"],
     ["gen", "--letters", "1", "--moves", str(MAX_CHORDS // 2 + 1)],
@@ -648,3 +676,57 @@ def test_golden_cli_bytes(capsys):
             h.update(part.encode() + b"\0")
     assert h.hexdigest() == \
         "38d9b6fd83b894f4f26e0a0538a9a44f6d24af3ce133075a1125b2e64508d5ee"
+
+
+import contextlib
+import io
+
+from hypothesis import given, settings, strategies as st
+
+_GAUSS_SEEDS = ("O1+U2+O3+U1+O2+U3+", "O1+U2-O3-U1+O4+U3-O2-U4+",
+                "U1+O2+O1+U2+")
+_PD_SEEDS = ("X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]",
+             "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]")
+
+
+@st.composite
+def _mutated(draw, seeds, alphabet):
+    """A valid code with a few characters deleted, inserted or replaced."""
+    text = list(draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("delete", "insert", "replace")))
+        if op == "insert" or i == len(text):
+            text.insert(i, draw(st.sampled_from(alphabet)))
+        elif op == "delete":
+            del text[i]
+        else:
+            text[i] = draw(st.sampled_from(alphabet))
+    return "".join(text)
+
+
+def _payloads(seeds, alphabet):
+    return st.text(alphabet, max_size=40) | _mutated(seeds, alphabet)
+
+
+def _assert_clean_exit(flag, payload):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["v2", f"{flag}={payload}", "--method", "all"])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert json.loads(out.getvalue())["agreement"]
+    else:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads(_GAUSS_SEEDS, "OU0123+- "))
+def test_fuzz_gauss_payloads_exit_cleanly(payload):
+    _assert_clean_exit("--gauss", payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads(_PD_SEEDS, "X[]0123456789, "))
+def test_fuzz_pd_payloads_exit_cleanly(payload):
+    _assert_clean_exit("--pd", payload)
