@@ -13,9 +13,9 @@ Exit codes: 0 success, 1 parse error, 2 validation/genericity error
 (among them an input over MAX_CHORDS chords, a polyknot over MAX_VERTICES
 vertices, a `gen` or `moves-check` run whose --letters + 2 * --moves
 exceeds MAX_CHORDS, and an `integrate` run over MAX_SAMPLES samples),
-3 cross-method disagreement (always a bug).  The default seed is taken from the CASSON_SEED
-environment variable when set; a value that is not an integer is a parse
-error.  Tangle words are read as long knots.
+3 cross-method disagreement (always a bug).  The default seed is taken
+from the CASSON_SEED environment variable when set; a value that is not
+an integer is a parse error.  Tangle words are read as long knots.
 """
 
 from __future__ import annotations
