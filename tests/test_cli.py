@@ -681,7 +681,7 @@ def test_golden_cli_bytes(capsys):
 import contextlib
 import io
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 _GAUSS_SEEDS = ("O1+U2+O3+U1+O2+U3+", "O1+U2-O3-U1+O4+U3-O2-U4+",
                 "U1+O2+O1+U2+")
@@ -722,6 +722,7 @@ def _assert_clean_exit(flag, payload):
 
 @settings(max_examples=300, deadline=None)
 @given(_payloads(_GAUSS_SEEDS, "OU0123+- "))
+@example("--")  # argparse reads `--gauss=--` as an empty list
 def test_fuzz_gauss_payloads_exit_cleanly(payload):
     _assert_clean_exit("--gauss", payload)
 
