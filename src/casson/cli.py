@@ -11,11 +11,12 @@ Subcommands:
 
 Exit codes: 0 success, 1 parse error, 2 validation/genericity error
 (among them an input over MAX_CHORDS chords, a polyknot over MAX_VERTICES
-vertices, a `gen` or `moves-check` run whose --letters + 2 * --moves
-exceeds MAX_CHORDS, and an `integrate` run over MAX_SAMPLES samples),
-3 cross-method disagreement (always a bug).  The default seed is taken
-from the CASSON_SEED environment variable when set; a value that is not
-an integer is a parse error.  Tangle words are read as long knots.
+vertices, a tangle word over MAX_EVENTS events, a `gen` or `moves-check`
+run whose --letters + 2 * --moves exceeds MAX_CHORDS, and an `integrate`
+run over MAX_SAMPLES samples), 3 cross-method disagreement (always a
+bug).  The default seed is taken from the CASSON_SEED environment variable
+when set; a value that is not an integer is a parse error.  Tangle words
+are read as long knots.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ MAX_CHORDS = 20001
 # a polyknot run.  A 4000-vertex zigzag with 19740 crossings takes about
 # 7 minutes under --method all on a 2-vCPU machine.
 MAX_VERTICES = 4000
+
+# Most events a tangle word may have, counted as parse_tangle counts them
+# (lines that are not blank or comments) before any is parsed: tracing
+# keeps about 0.55 KB an event.  A random word has about two events a
+# chord, so this leaves room for words at the chord cap.
+MAX_EVENTS = 100_000
 
 # Most samples `integrate` may draw: 10**7 take about 4.5 s on a 2-vCPU
 # machine, so the cap is minutes.  It is here and not in mcint, whose numpy
@@ -122,7 +129,7 @@ def _build_input(kind: str, payload: str) -> tuple[GaussDiagram, object]:
 def _read_input(kind: str, payload: str) -> tuple[GaussDiagram, object]:
     try:
         if kind == "gauss":
-            return parse_gauss_code(payload, shape="long"), None
+            return parse_gauss_code(payload), None
         if kind == "pd":
             return parse_pd_code(payload), None
         if kind == "braid":
@@ -144,6 +151,11 @@ def _read_input(kind: str, payload: str) -> tuple[GaussDiagram, object]:
                                    f"{MAX_VERTICES}", EXIT_VALIDATION)
                 curve = project(knot)
                 return curve.gauss_diagram(), curve
+            events = sum(1 for line in text.splitlines()
+                         if line.split("#")[0].strip())
+            if events > MAX_EVENTS:
+                raise CliError(f"tangle input has {events} events, more than "
+                               f"the limit of {MAX_EVENTS}", EXIT_VALIDATION)
             word = parse_tangle(text)
             return gauss_of_tangle(word), word
     except GenericityError as exc:

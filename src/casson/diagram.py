@@ -2,9 +2,9 @@
 
 A Gauss diagram records the double points of a knot projection as signed,
 directed chords on the parametrizing circle.  Each chord points from the
-overpass to the underpass and carries the local writhe as its sign.  A based
-diagram additionally fixes a marked point on the circle; "long" diagrams put
-that point at infinity.
+overpass to the underpass and carries the local writhe as its sign.  Every
+diagram is based at endpoint 0, from a long knot or a closed one alike: v2
+does not depend on the base point, so a diagram is only its chords.
 
 Every method reads only the order of the endpoints around the circle, so
 a chord's endpoints are integer indices: the 2n endpoints of a diagram sit
@@ -18,7 +18,7 @@ the endpoint order, a list of (chord id, 'T'|'H') tokens, and hand it to
 from __future__ import annotations
 
 import re
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "Chord",
@@ -61,10 +61,7 @@ class GaussDiagram:
     construction; all operations return new diagrams.
     """
 
-    def __init__(self, chords: Iterable[Chord], shape: Literal["closed", "long"] = "closed"):
-        if shape not in ("closed", "long"):
-            raise DiagramError(f"shape must be 'closed' or 'long', got {shape!r}")
-        self.shape = shape
+    def __init__(self, chords: Iterable[Chord]):
         chords = tuple(chords)
         size = 2 * len(chords)
         at = [-1] * size
@@ -98,8 +95,8 @@ class GaussDiagram:
                 for p, i in enumerate(self.at)]
 
     @staticmethod
-    def from_endpoint_order(order: Iterable[tuple[int, str]], signs: dict[int, int],
-                            shape: Literal["closed", "long"] = "closed") -> "GaussDiagram":
+    def from_endpoint_order(order: Iterable[tuple[int, str]],
+                            signs: dict[int, int]) -> "GaussDiagram":
         """Build a diagram from endpoint tokens (chord id, 'T'|'H') in circle order.
 
         The i-th token is the endpoint at position i.
@@ -116,7 +113,7 @@ class GaussDiagram:
             chords.append(Chord(cid, pos[(cid, "T")], pos[(cid, "H")], sign))
         if len(pos) != 2 * len(chords):
             raise DiagramError("endpoint tokens do not match the chord set")
-        return GaussDiagram(chords, shape=shape)
+        return GaussDiagram(chords)
 
     def serialize(self) -> str:
         """Canonical Gauss code, labels renumbered by first appearance.
@@ -133,13 +130,13 @@ class GaussDiagram:
         return "".join(toks)
 
     def __repr__(self):
-        return f"GaussDiagram({self.serialize()!r}, shape={self.shape!r})"
+        return f"GaussDiagram({self.serialize()!r})"
 
 
 _GAUSS_TOKEN = re.compile(r"([OU])([1-9][0-9]*)([+-])")
 
 
-def parse_gauss_code(text: str, shape: Literal["closed", "long"] = "closed") -> GaussDiagram:
+def parse_gauss_code(text: str) -> GaussDiagram:
     """Parse a Gauss code like ``O1+U2+O3+U1+O2+U3+`` into a based diagram.
 
     Tokens may be concatenated or whitespace separated; the base point
@@ -160,7 +157,7 @@ def parse_gauss_code(text: str, shape: Literal["closed", "long"] = "closed") -> 
         # O token is the overpass: chord tail.  U token is the head.
         order.append((label, "T" if letter == "O" else "H"))
         i = m.end()
-    return GaussDiagram.from_endpoint_order(order, signs, shape=shape)
+    return GaussDiagram.from_endpoint_order(order, signs)
 
 
 _PD_TUPLE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
@@ -278,14 +275,14 @@ def braid_order(letters: list[int]) -> tuple[list[tuple[int, str]], dict[int, in
 
 
 def from_braid_word(word: str | list[int]) -> GaussDiagram:
-    """Long based Gauss diagram of the closure of a braid word, cut on strand 1.
+    """Gauss diagram of the closure of a braid word, based on strand 1.
 
     The word is over generators ``s1 .. s(k-1)`` and inverses (``-s2``), where
     k is one more than the largest generator index; a positive letter crosses
     the strand entering at position i over the one at position i+1.
     """
     letters = parse_braid_tokens(word) if isinstance(word, str) else list(word)
-    return GaussDiagram.from_endpoint_order(*braid_order(letters), shape="long")
+    return GaussDiagram.from_endpoint_order(*braid_order(letters))
 
 
 def torus_knot_2(n: int) -> GaussDiagram:

@@ -81,7 +81,7 @@ class MoveEngine:
     def diagram(self) -> GaussDiagram:
         if self.word is not None:
             return from_braid_word(self.word)
-        return GaussDiagram.from_endpoint_order(self.order, self.signs, shape="long")
+        return GaussDiagram.from_endpoint_order(self.order, self.signs)
 
     def _word_move(self, rng: random.Random) -> str | None:
         w = self.word

@@ -219,7 +219,10 @@ class PolyKnot:
     def from_json(text: str) -> "PolyKnot":
         """Parse {"shape": ..., "vertices": [[x, y, z], ...]}; every
         malformed document is a ValueError."""
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("polyknot JSON is nested too deeply") from None
         if not isinstance(obj, dict) or not {"shape", "vertices"} <= obj.keys():
             raise ValueError('polyknot JSON must be an object with "shape" '
                              'and "vertices"')
@@ -262,6 +265,8 @@ class PlaneCurve:
     """
 
     def __init__(self, points3, shape: str):
+        if shape not in ("closed", "long"):
+            raise ValueError(f"shape must be 'closed' or 'long', got {shape!r}")
         self.shape = shape
         pts = [tuple(_frac(c) for c in p) for p in points3]
         if shape == "long":
@@ -373,7 +378,7 @@ class PlaneCurve:
             signs[idx] = c.eps if over_first else -c.eps
         passes.sort()
         order = [(cid, kind) for _, cid, kind in passes]
-        return GaussDiagram.from_endpoint_order(order, signs, shape=self.shape)
+        return GaussDiagram.from_endpoint_order(order, signs)
 
 
 def project(knot: PolyKnot) -> PlaneCurve:

@@ -82,7 +82,7 @@ def descend(diagram: GaussDiagram) -> FlipTrace:
                 f"vs smoothing {Fraction(crossings, 2)}")
         flips.append((diagram.ids[c], sign[c], lk))
         tail[c], head[c], sign[c] = head[c], tail[c], -sign[c]
-    final = GaussDiagram(zip(diagram.ids, tail, head, sign), shape=diagram.shape)
+    final = GaussDiagram(zip(diagram.ids, tail, head, sign))
     return FlipTrace(tuple(flips), final)
 
 

@@ -375,7 +375,7 @@ def gauss_of_tangle(word: TangleWord) -> GaussDiagram:
     order = [(cid, kind) for rec in word.source
              if len(rec) == 2 for cid, kind in [rec]]
     signs = {cid: rec.sign for cid, rec in word.crossings.items()}
-    return GaussDiagram.from_endpoint_order(order, signs, shape=word.shape)
+    return GaussDiagram.from_endpoint_order(order, signs)
 
 
 @dataclass(frozen=True)

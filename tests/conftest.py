@@ -23,7 +23,7 @@ def reversed_chord(c: Chord) -> Chord:
 
 def mirror(diagram: GaussDiagram) -> GaussDiagram:
     """Diagram of the mirror knot: every chord reversed, signs negated."""
-    return GaussDiagram(map(reversed_chord, diagram.chords), shape=diagram.shape)
+    return GaussDiagram(map(reversed_chord, diagram.chords))
 
 
 def is_descending(diagram) -> bool:

@@ -9,8 +9,7 @@ import random
 import statistics
 import time
 
-from casson.diagram import GaussDiagram, from_braid_word, parse_gauss_code, \
-    torus_knot_2
+from casson.diagram import from_braid_word, parse_gauss_code, torus_knot_2
 from casson.invariants import arf, crossing_bound, v2_gauss, v2_sym
 from casson.moves import MoveEngine, random_braid_word
 from casson.pairing import XBWD, XDOWN, XFWD, XUP, bracket
@@ -43,7 +42,7 @@ def _timed(fn, *args):
 
 
 def test_criterion_1_named_values():
-    unknot = parse_gauss_code("", shape="long")
+    unknot = parse_gauss_code("")
     trefoil = from_braid_word([1, 1, 1])
     fig8 = from_braid_word([1, -2, 1, -2])
     ok = True
@@ -155,8 +154,7 @@ def test_criterion_8_natangle_agreement():
         count += 1
     for seed in range(20):
         w = random_tangle_word(seed, n_events=12, shape="closed")
-        based = GaussDiagram(gauss_of_tangle(w).chords, shape="long")
-        if v2_natangle_closed(w) != v2_gauss(based):
+        if v2_natangle_closed(w) != v2_gauss(gauss_of_tangle(w)):
             ok = False
         count += 1
     ok = ok and count >= 50
@@ -172,7 +170,7 @@ def test_criterion_9_pattern_sweep(diagram_corpus):
 
     def passes(coeff, pat):
         f = lambda g: coeff * bracket(pat, g)
-        named = (f(parse_gauss_code("", shape="long")) == 0
+        named = (f(parse_gauss_code("")) == 0
                  and f(from_braid_word([1, 1, 1])) == 1
                  and f(from_braid_word([1, -2, 1, -2])) == -1)
         if not named:

@@ -566,6 +566,62 @@ def test_polyknot_over_vertex_cap_is_not_projected(tmp_path, monkeypatch,
     assert tref["v2"] == 1
 
 
+def test_tangle_over_event_cap_is_not_parsed(tmp_path, monkeypatch, capsys):
+    # blank and comment lines are not events
+    text = "# trefoil\n\n" + TREFOIL_TANGLE_TEXT
+    monkeypatch.setattr(cli, "MAX_EVENTS", 7)
+    code, out = run(capsys, "v2", "--tangle", text, "--method", "all")
+    assert code == 0 and out["v2"] == 1
+
+    def forbidden(text):
+        raise AssertionError("parsed a tangle word over the event cap")
+
+    monkeypatch.setattr(cli, "MAX_EVENTS", 6)
+    monkeypatch.setattr(cli, "parse_tangle", forbidden)
+    assert main(["v2", "--tangle", text]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "tangle input has 7 events, more than the limit of 6" in err
+    table = tmp_path / "t.csv"
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows([["big", "tangle", text],
+                                  ["tref", "braid", "s1 s1 s1"]])
+    code, out = run(capsys, "batch", str(table))
+    assert code == 0
+    big, tref = out["records"]
+    assert big["error"] == err.strip().removeprefix("casson: ")
+    assert tref["v2"] == 1
+
+
+# nested deeper than the default recursion limit lets json.loads go
+DEEP_JSON = "[" * 1000 + "]" * 1000
+
+
+def test_v2_deeply_nested_polyknot(tmp_path, capsys):
+    assert main(["v2", "--polyknot", DEEP_JSON]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "polyknot JSON is nested too deeply" in err
+    table = tmp_path / "t.csv"
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows([["deep", "polyknot", DEEP_JSON],
+                                  ["tref", "braid", "s1 s1 s1"]])
+    code, out = run(capsys, "batch", str(table))
+    assert code == 0
+    deep, tref = out["records"]
+    assert deep["error"] == err.strip().removeprefix("casson: ")
+    assert tref["v2"] == 1
+
+
+def test_integrate_deeply_nested_knot(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    assert main(["integrate", "--knot", str(path)]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert "polyknot JSON is nested too deeply" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--letters", "3000000"],
     ["gen", "--letters", "1", "--moves", str(MAX_CHORDS // 2 + 1)],
@@ -690,10 +746,10 @@ _PD_SEEDS = ("X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]",
 
 
 @st.composite
-def _mutated(draw, seeds, alphabet):
+def _mutated(draw, seeds, alphabet, edits=4):
     """A valid code with a few characters deleted, inserted or replaced."""
     text = list(draw(st.sampled_from(seeds)))
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, edits))):
         i = draw(st.integers(0, len(text)))
         op = draw(st.sampled_from(("delete", "insert", "replace")))
         if op == "insert" or i == len(text):
@@ -731,3 +787,42 @@ def test_fuzz_gauss_payloads_exit_cleanly(payload):
 @given(_payloads(_PD_SEEDS, "X[]0123456789, "))
 def test_fuzz_pd_payloads_exit_cleanly(payload):
     _assert_clean_exit("--pd", payload)
+
+
+_BRAID_SEEDS = ("s1 s1 s1", "1 -2 1 -2", "-s2 s1 -s1 -s2 s3 -s1 -s2 -s2 -s1")
+_POLYKNOT_SEEDS = (polyknot_from_braid([1, 1, 1], closed=False).to_json(),
+                   polyknot_from_braid([1, -2, 1, -2], closed=True).to_json())
+# the third is random_tangle_word(6, 3)
+_TANGLE_SEEDS = (TREFOIL_TANGLE_TEXT, "MIN@1:u\nMAX@1:u\n",
+                 "MIN@1:u\nMIN@4:d\nMIN@5:u\nA@4:R\nMAX@4:d\nA@3:R\n"
+                 "MAX@3:u\nX@1:+:u\nA@1:L\nX@2:+:o\nA@1:R\nX@1:-:o\nMAX@1:u\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads(_BRAID_SEEDS, "s-0123456789 "))
+def test_fuzz_braid_payloads_exit_cleanly(payload):
+    _assert_clean_exit("--braid", payload)
+
+
+# Torus inputs stay at three characters, or over the chord cap, since
+# --method all on T(9999,2) takes seconds.
+@settings(max_examples=300, deadline=None)
+@given(st.text("0123456789-+ ", max_size=3)
+       | _mutated(("3", "41"), "0123456789-+ ", edits=1)
+       | st.integers(MAX_CHORDS + 1, 10**40).map(str))
+def test_fuzz_torus_payloads_exit_cleanly(payload):
+    _assert_clean_exit("--torus", payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads(_POLYKNOT_SEEDS, '{}[]",: 0123456789-/.e'))
+@example("[" * 10**5 + "]" * 10**5)  # hypothesis raises the recursion limit
+def test_fuzz_polyknot_payloads_exit_cleanly(payload):
+    _assert_clean_exit("--polyknot", payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads(_TANGLE_SEEDS, "MINAX@:ud+-oLR123\n#"))
+@example("MIN@1:u\n" * (cli.MAX_EVENTS + 1))
+def test_fuzz_tangle_payloads_exit_cleanly(payload):
+    _assert_clean_exit("--tangle", payload)

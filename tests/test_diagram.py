@@ -1,19 +1,32 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from casson.diagram import (Chord, DiagramError, GaussDiagram, braid_strands,
                             closure_walk, from_braid_word, parse_gauss_code, parse_pd_code,
                             torus_knot_2)
+from casson.moves import random_realizable
 from conftest import mirror
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 20), st.integers(0, 8))
+def test_gauss_code_round_trip(seed, letters, moves):
+    # a diagram is only its chords, so parsing its code gives it back whole
+    g = random_realizable(seed, letters, moves)
+    h = parse_gauss_code(g.serialize())
+    assert h.serialize() == g.serialize() and repr(h) == repr(g)
+    assert sorted(zip(h.tail, h.head, h.sign)) == \
+        sorted(zip(g.tail, g.head, g.sign))
+
+
 def test_parse_gauss_trefoil_roundtrip():
-    g = parse_gauss_code("O1+U2+O3+U1+O2+U3+", shape="long")
+    g = parse_gauss_code("O1+U2+O3+U1+O2+U3+")
     assert g.n == 3
     assert g.serialize() == "O1+U2+O3+U1+O2+U3+"
 
 
 def test_parse_gauss_empty():
-    g = parse_gauss_code("", shape="long")
+    g = parse_gauss_code("")
     assert g.n == 0
 
 
@@ -92,7 +105,7 @@ def _base_point_moved(g: GaussDiagram) -> GaussDiagram:
     """The diagram with its base point moved forward past one endpoint."""
     order = g.order()
     return GaussDiagram.from_endpoint_order(
-        order[1:] + order[:1], dict(zip(g.ids, g.sign)), shape=g.shape)
+        order[1:] + order[:1], dict(zip(g.ids, g.sign)))
 
 
 def test_base_point_move_cycles():

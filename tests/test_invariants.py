@@ -16,7 +16,7 @@ from conftest import mirror
 
 
 def test_unknot_zero():
-    g = parse_gauss_code("", shape="long")
+    g = parse_gauss_code("")
     assert v2_gauss(g) == 0
     assert v2_sym(g) == 0
     assert arf(g) == 0

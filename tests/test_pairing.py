@@ -21,7 +21,7 @@ def test_pattern_validation():
 
 
 def test_bracket_empty_diagram():
-    g = parse_gauss_code("", shape="long")
+    g = parse_gauss_code("")
     for p in (XUP, XDOWN, XFWD, XBWD):
         assert bracket(p, g) == 0
 
@@ -35,7 +35,7 @@ def test_trefoil_pattern_counts():
 
 
 def test_single_kink_matches_nothing():
-    g = parse_gauss_code("O1+U1+", shape="long")
+    g = parse_gauss_code("O1+U1+")
     assert bracket(X_ALL, g) == 0
 
 
@@ -105,9 +105,8 @@ def chord_diagrams(draw, max_chords=12):
     order = draw(st.permutations([(i, k) for i in range(1, n + 1)
                                   for k in "TH"]))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
-    shape = draw(st.sampled_from(("closed", "long")))
     return GaussDiagram.from_endpoint_order(
-        order, dict(zip(range(1, n + 1), signs)), shape=shape)
+        order, dict(zip(range(1, n + 1), signs)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -145,9 +144,8 @@ def _serialized_from_chords(g):
 def test_order_round_trip(g):
     arrays = (g.ids, g.tail, g.head, g.sign, g.at)
     rebuilt = (GaussDiagram.from_endpoint_order(
-                   g.order(), dict(zip(g.ids, g.sign)), g.shape),
-               GaussDiagram(g.chords, g.shape))
+                   g.order(), dict(zip(g.ids, g.sign))),
+               GaussDiagram(g.chords))
     for h in rebuilt:
         assert (h.ids, h.tail, h.head, h.sign, h.at) == arrays
-        assert h.shape == g.shape
         assert h.serialize() == g.serialize() == _serialized_from_chords(g)

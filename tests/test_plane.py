@@ -55,6 +55,15 @@ def test_genericity_rejects_duplicate_levels():
         PlaneCurve([(0, 0, 0), (4, 1, 0), (2, 0, 0)], shape="closed")
 
 
+def test_plane_curve_rejects_unknown_shape():
+    # checked before the polyline is set up, so a curve whose validation
+    # is patched out rejects it too
+    triangle = [(0, 0, 0), (4, 1, 0), (1, 3, 0)]
+    for build in (PlaneCurve, _bare_curve):
+        with pytest.raises(ValueError, match="got 'open'"):
+            build(triangle, "open")
+
+
 def test_long_trefoil_morse():
     curve = project(_long_knot([1, 1, 1]))
     assert v2_morse(curve) == 1

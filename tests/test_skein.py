@@ -8,7 +8,7 @@ from conftest import is_descending, reversed_chord
 
 def test_descending_fixture():
     # every chord first met at its tail
-    g = parse_gauss_code("O1+O2+U2+U1+", shape="long")
+    g = parse_gauss_code("O1+O2+U2+U1+")
     assert is_descending(g)
     assert v2_skein(g) == 0
 
@@ -42,7 +42,7 @@ def test_lk_two_ways_on_first_flip(trefoil):
 def test_named_values(trefoil, figure_eight):
     assert v2_skein(trefoil) == 1
     assert v2_skein(figure_eight) == -1
-    assert v2_skein(parse_gauss_code("", shape="long")) == 0
+    assert v2_skein(parse_gauss_code("")) == 0
 
 
 def test_oracle_agreement(diagram_corpus):
@@ -75,7 +75,7 @@ def _naive_descend(diagram):
         seen.add(c0_id)
         if kind == "T":
             continue
-        state = GaussDiagram(chords.values(), shape=diagram.shape)
+        state = GaussDiagram(chords.values())
         c = state.chords[state.ids.index(c0_id)]
         lo, hi = min(c.tail, c.head), max(c.tail, c.head)
         lk = two = 0
@@ -87,7 +87,7 @@ def _naive_descend(diagram):
         assert Fraction(two, 2) == lk
         flips.append((c0_id, c.sign, lk))
         chords[c0_id] = reversed_chord(c)
-    return flips, GaussDiagram(chords.values(), shape=diagram.shape)
+    return flips, GaussDiagram(chords.values())
 
 
 def test_descend_equals_per_flip_rebuild(diagram_corpus):
