@@ -9,14 +9,14 @@ Subcommands:
     integrate   Monte Carlo configuration-space integral of a polygonal knot
     batch       CSV table of inputs, one result record per row
 
-Exit codes: 0 success, 1 parse error, 2 validation/genericity error
-(among them an input over MAX_CHORDS chords, a polyknot over MAX_VERTICES
-vertices, a tangle word over MAX_EVENTS events, a `gen` or `moves-check`
-run whose --letters + 2 * --moves exceeds MAX_CHORDS, and an `integrate`
-run over MAX_SAMPLES samples), 3 cross-method disagreement (always a
-bug).  The default seed is taken from the CASSON_SEED environment variable
-when set; a value that is not an integer is a parse error.  Tangle words
-are read as long knots.
+Exit codes: 0 success, 1 parse error, 2 validation/genericity error (among
+them an input over MAX_CHARS characters or MAX_CHORDS chords, a polyknot or
+`integrate --knot` over MAX_VERTICES vertices, a tangle word over MAX_EVENTS
+events, a `gen` or `moves-check` run whose --letters + 2 * --moves exceeds
+MAX_CHORDS, and an `integrate` run over MAX_SAMPLES samples), 3 cross-method
+disagreement (always a bug).  The default seed is taken from the CASSON_SEED
+environment variable when set; a value that is not an integer is a parse
+error.  Tangle words are read as long knots.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ MAX_CHORDS = 20001
 # Most vertices a polyknot input may have: the Morse indices take one O(E)
 # pass per double point and extremum, so the chord cap alone does not bound
 # a polyknot run.  A 4000-vertex zigzag with 19740 crossings takes about
-# 7 minutes under --method all on a 2-vCPU machine.
+# 7 minutes under --method all on a 2-vCPU machine.  It caps `integrate` too:
+# its sampling does not grow with the vertices, but its exact parse does.
 MAX_VERTICES = 4000
 
 # Most events a tangle word may have, counted as parse_tangle counts them
@@ -62,10 +63,25 @@ MAX_VERTICES = 4000
 # chord, so this leaves room for words at the chord cap.
 MAX_EVENTS = 100_000
 
+# Most characters an input text may have; a file is read no further than the
+# cap + 1, as parsing takes about 8x a text's size in memory.  A 3972-vertex
+# braid polyknot is 108 KB, T(20001,2)'s Gauss code 257,802 characters, and a
+# random tangle word 8.6 B an event (0.9 MB at the event cap).
+MAX_CHARS = 1 << 21
+
 # Most samples `integrate` may draw: 10**7 take about 4.5 s on a 2-vCPU
 # machine, so the cap is minutes.  It is here and not in mcint, whose numpy
 # import the other commands do not pay for.
 MAX_SAMPLES = 10**9
+
+KINDS = {
+    "gauss": "Gauss code, e.g. 'O1+U2+O3+U1+O2+U3+'",
+    "pd": "PD code, e.g. 'X[1,5,2,4] X[3,1,4,6] ...'",
+    "braid": "braid word, e.g. 's1 s1 s1' or '1 1 1'",
+    "torus": "odd n for the (n,2) torus knot",
+    "polyknot": "PolyKnot JSON (inline or a file path)",
+    "tangle": "tangle word (inline or a file path)",
+}
 
 # name -> (source type needed, or None for any diagram; skip reason without
 # it; run(diagram, source)).  The callables look their functions up in this
@@ -100,71 +116,71 @@ def _default_seed() -> int:
 
 def _parse_input(args) -> tuple[GaussDiagram, object]:
     """(diagram, geometric source or None) for the selected input flag."""
-    kinds = [k for k in ("gauss", "pd", "braid", "torus", "polyknot", "tangle")
-             if getattr(args, k, None) is not None]
+    kinds = [k for k in KINDS if getattr(args, k, None) is not None]
     if len(kinds) != 1:
         raise CliError("exactly one input flag required "
-                       "(--gauss/--pd/--braid/--torus/--polyknot/--tangle)",
-                       EXIT_PARSE)
-    kind = kinds[0]
-    payload = getattr(args, kind)
+                       f"({'/'.join('--' + k for k in KINDS)})", EXIT_PARSE)
+    payload = getattr(args, kinds[0])
     if not isinstance(payload, str):
         # argparse reads `--gauss=--` as an empty list, not as "--"
-        raise CliError(f"--{kind} needs a value", EXIT_PARSE)
-    return _build_input(kind, payload)
+        raise CliError(f"--{kinds[0]} needs a value", EXIT_PARSE)
+    return _read_input(kinds[0], payload)
 
 
-def _check_chords(kind: str, n: int) -> None:
-    if n > MAX_CHORDS:
-        raise CliError(f"{kind} input has {n} chords, more than the limit of "
-                       f"{MAX_CHORDS}", EXIT_VALIDATION)
+def _check_limit(kind: str, n: int, unit: str, cap: int) -> None:
+    if n > cap:
+        raise CliError(f"{kind} input has {n} {unit}, more than the limit of "
+                       f"{cap}", EXIT_VALIDATION)
 
 
-def _build_input(kind: str, payload: str) -> tuple[GaussDiagram, object]:
-    diagram, source = _read_input(kind, payload)
-    _check_chords(kind, diagram.n)
-    return diagram, source
+def _read_text(kind: str, payload: str, is_path: bool) -> str:
+    """The payload or the file it names, if at most MAX_CHARS characters."""
+    if is_path:
+        with open(payload) as fh:
+            payload = fh.read(MAX_CHARS + 1)
+    _check_limit(kind, len(payload), "characters or more", MAX_CHARS)
+    return payload
+
+
+def _polyknot(text: str) -> PolyKnot:
+    knot = PolyKnot.from_json(text)
+    _check_limit("polyknot", len(knot.vertices), "vertices", MAX_VERTICES)
+    return knot
 
 
 def _read_input(kind: str, payload: str) -> tuple[GaussDiagram, object]:
+    """(diagram, source) of one payload: read, size-checked and parsed."""
+    if kind not in KINDS:
+        raise CliError(f"unknown input kind {kind!r}", EXIT_PARSE)
     try:
+        text = _read_text(kind, payload, kind in ("polyknot", "tangle")
+                          and os.path.exists(payload))
         if kind == "gauss":
-            return parse_gauss_code(payload), None
-        if kind == "pd":
-            return parse_pd_code(payload), None
-        if kind == "braid":
-            return from_braid_word(payload), None
-        if kind == "torus":
-            n = int(payload)
-            _check_chords(kind, n)
-            return torus_knot_2(n), None
-        if kind in ("polyknot", "tangle"):
-            text = payload
-            if os.path.exists(payload):
-                with open(payload) as fh:
-                    text = fh.read()
-            if kind == "polyknot":
-                knot = PolyKnot.from_json(text)
-                if len(knot.vertices) > MAX_VERTICES:
-                    raise CliError(f"polyknot input has {len(knot.vertices)} "
-                                   f"vertices, more than the limit of "
-                                   f"{MAX_VERTICES}", EXIT_VALIDATION)
-                curve = project(knot)
-                return curve.gauss_diagram(), curve
+            diagram, source = parse_gauss_code(text), None
+        elif kind == "pd":
+            diagram, source = parse_pd_code(text), None
+        elif kind == "braid":
+            diagram, source = from_braid_word(text), None
+        elif kind == "torus":
+            n = int(text)
+            _check_limit(kind, n, "chords", MAX_CHORDS)
+            diagram, source = torus_knot_2(n), None
+        elif kind == "polyknot":
+            source = project(_polyknot(text))
+            diagram = source.gauss_diagram()
+        else:
             events = sum(1 for line in text.splitlines()
                          if line.split("#")[0].strip())
-            if events > MAX_EVENTS:
-                raise CliError(f"tangle input has {events} events, more than "
-                               f"the limit of {MAX_EVENTS}", EXIT_VALIDATION)
-            word = parse_tangle(text)
-            return gauss_of_tangle(word), word
+            _check_limit(kind, events, "events", MAX_EVENTS)
+            source = parse_tangle(text)
+            diagram = gauss_of_tangle(source)
     except GenericityError as exc:
         raise CliError(f"input fails genericity: {exc}", EXIT_VALIDATION)
     except (DiagramError, TangleError, ValueError, OSError) as exc:
-        what = "tangle input as a long knot" if kind == "tangle" \
-            else f"{kind} input"
-        raise CliError(f"cannot parse {what}: {exc}", EXIT_PARSE)
-    raise CliError(f"unknown input kind {kind!r}", EXIT_PARSE)
+        what = " as a long knot" if kind == "tangle" else ""
+        raise CliError(f"cannot parse {kind} input{what}: {exc}", EXIT_PARSE)
+    _check_limit(kind, diagram.n, "chords", MAX_CHORDS)
+    return diagram, source
 
 
 def _run_method(method: str, diagram: GaussDiagram, source) -> dict:
@@ -312,8 +328,7 @@ def _cmd_integrate(args) -> int:
         raise CliError(f"--samples is {args.samples}, more than the limit of "
                        f"{MAX_SAMPLES}", EXIT_VALIDATION)
     try:
-        with open(args.knot) as fh:
-            knot = PolyKnot.from_json(fh.read())
+        knot = _polyknot(_read_text("polyknot", args.knot, True))
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read knot file: {exc}", EXIT_PARSE)
     if knot.shape != "long":
@@ -331,6 +346,7 @@ def _cmd_integrate(args) -> int:
 def ingest_csv(path: str) -> list[dict]:
     """Rows of name,kind,payload; per-row errors recorded, not fatal."""
     records = []
+    csv.field_size_limit(MAX_CHARS + 1)  # one past the cap gets the cap line
     with open(path, newline="") as fh:
         for i, row in enumerate(csv.reader(fh)):
             if not row or (i == 0 and [c.lower() for c in row[:3]]
@@ -361,7 +377,7 @@ def _cmd_batch(args) -> int:
             continue
         entry.update({"kind": rec["kind"], "payload": rec["payload"]})
         try:
-            diagram, source = _build_input(rec["kind"], rec["payload"])
+            diagram, source = _read_input(rec["kind"], rec["payload"])
             entry.update(_v2_record(diagram, source, args.method))
             if not entry["agreement"]:
                 any_disagree = True
@@ -376,12 +392,8 @@ def _cmd_batch(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_input_flags(sub):
-    sub.add_argument("--gauss", help="Gauss code, e.g. 'O1+U2+O3+U1+O2+U3+'")
-    sub.add_argument("--pd", help="PD code, e.g. 'X[1,5,2,4] X[3,1,4,6] ...'")
-    sub.add_argument("--braid", help="braid word, e.g. 's1 s1 s1' or '1 1 1'")
-    sub.add_argument("--torus", help="odd n for the (n,2) torus knot")
-    sub.add_argument("--polyknot", help="PolyKnot JSON (inline or a file path)")
-    sub.add_argument("--tangle", help="tangle word (inline or a file path)")
+    for kind, help in KINDS.items():
+        sub.add_argument(f"--{kind}", help=help)
 
 
 def _add_output_flags(sub):

@@ -241,7 +241,8 @@ def test_batch_records_huge_generator_index(tmp_path, capsys):
 
 @pytest.mark.parametrize("content", [
     b"name,kind,payload\ntref,braid,s1 \xff\n",
-    b"tref,braid," + b"1 " * 70_000 + b"\n",
+    # a field past the csv field limit, cli.MAX_CHARS + 1
+    b"tref,braid," + b"1 " * 1_100_000 + b"\n",
 ], ids=["not_utf8", "oversized_field"])
 def test_batch_unreadable_table(content, tmp_path, capsys):
     table = tmp_path / "t.csv"
@@ -411,7 +412,7 @@ def _chain_run_method(method, diagram, source):
 def _method_inputs():
     """(diagram, source) of the six CLI kinds, a closed polyknot and a
     closed tangle word."""
-    inputs = [cli._build_input(kind, payload) for kind, payload in (
+    inputs = [cli._read_input(kind, payload) for kind, payload in (
         ("braid", "1 -2 1 -2"), ("gauss", "O1+U2+O3+U1+O2+U3+"),
         ("pd", "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]"), ("torus", "7"),
         ("polyknot", polyknot_from_braid([1, 1, 1], closed=False).to_json()),
@@ -826,3 +827,133 @@ def test_fuzz_polyknot_payloads_exit_cleanly(payload):
 @example("MIN@1:u\n" * (cli.MAX_EVENTS + 1))
 def test_fuzz_tangle_payloads_exit_cleanly(payload):
     _assert_clean_exit("--tangle", payload)
+
+
+# -- one input boundary: the character cap, integrate's vertex cap ------------
+
+import functools
+
+
+def _forbid(monkeypatch, owner, name):
+    def forbidden(*args):
+        raise AssertionError(f"called {name} on an input over a cap")
+
+    monkeypatch.setattr(owner, name, forbidden)
+
+
+def test_character_cap_stops_before_any_parser(tmp_path, monkeypatch,
+                                                request, capsys):
+    request.addfinalizer(functools.partial(csv.field_size_limit,
+                                           csv.field_size_limit()))
+    cap = len(TREFOIL_TANGLE_TEXT)
+    monkeypatch.setattr(cli, "MAX_CHARS", cap)
+    path = tmp_path / "tref.tangle"
+    path.write_text(TREFOIL_TANGLE_TEXT)
+    code, out = run(capsys, "v2", "--tangle", str(path), "--method", "all")
+    assert code == 0 and out["v2"] == 1
+
+    for name in ("parse_gauss_code", "parse_tangle"):
+        _forbid(monkeypatch, cli, name)
+    _forbid(monkeypatch, cli.PolyKnot, "from_json")
+    knot = polyknot_from_braid([1, 1, 1], closed=False).to_json()
+    lines = {}
+    for kind, text in (("tangle", TREFOIL_TANGLE_TEXT + "#"),
+                       ("tangle", TREFOIL_TANGLE_TEXT * 10),
+                       ("polyknot", knot), ("polyknot", knot * 10)):
+        path.write_text(text)
+        assert main(["v2", f"--{kind}", str(path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.strip().splitlines()) == 1
+        lines.setdefault(kind, set()).add(err)
+    for kind, seen in lines.items():
+        # one line at any length: the read stops at the cap + 1
+        assert seen == {f"casson: {kind} input has {cap + 1} characters or "
+                        f"more, more than the limit of {cap}\n"}
+
+    inline = "O1+U1+" * 10
+    assert main(["v2", "--gauss", inline[:cap + 1]]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"casson: gauss input has {cap + 1} "
+                                 f"characters or more, more than the limit "
+                                 f"of {cap}\n")
+    table = tmp_path / "t.csv"
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows([["big", "gauss", inline[:cap + 1]],
+                                  ["tref", "braid", "s1 s1 s1"]])
+    code, out = run(capsys, "batch", str(table))
+    assert code == 0
+    big, tref = out["records"]
+    assert big["error"] == err.strip().removeprefix("casson: ")
+    assert tref["v2"] == 1
+
+
+def test_only_polyknot_and_tangle_payloads_name_files(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("3", "s1 s1 s1", "O1+U2+O3+U1+O2+U3+"):
+        (tmp_path / name).write_text("not an input")
+    for argv in (["--torus", "3"], ["--braid", "s1 s1 s1"],
+                 ["--gauss", "O1+U2+O3+U1+O2+U3+"]):
+        code, out = run(capsys, "v2", *argv)
+        assert code == 0 and out["v2"] == 1
+
+
+def test_integrate_over_vertex_cap_is_not_sampled(tmp_path, monkeypatch,
+                                                  capsys):
+    import casson.mcint
+
+    knot = polyknot_from_braid([1, 1, 1], closed=False)
+    n = len(knot.vertices)
+    path = tmp_path / "tref.json"
+    path.write_text(knot.to_json())
+    monkeypatch.setattr(cli, "MAX_VERTICES", n - 1)
+    _forbid(monkeypatch, casson.mcint, "v2_mc")
+    assert main(["integrate", "--knot", str(path), "--samples", "1000"]) \
+        == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"casson: polyknot input has {n} vertices, "
+                                 f"more than the limit of {n - 1}\n")
+
+
+def test_batch_row_at_the_chord_cap(tmp_path, capsys):
+    # T(20001,2)'s Gauss code is over csv's default field limit of 131072
+    p = MAX_CHORDS
+    code_text = cli.torus_knot_2(p).serialize()
+    assert 131072 < len(code_text) <= cli.MAX_CHARS
+    table = tmp_path / "t.csv"
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows([["t", "gauss", code_text]])
+    code, out = run(capsys, "batch", str(table), "--method", "gauss")
+    assert code == 0
+    assert out["records"][0]["v2"] == (p * p - 1) // 8 == 50005000
+
+
+def test_every_reader_looks_its_parser_up_at_call_time(monkeypatch):
+    # a tracer rebinds these names in casson.cli; a reader bound at import
+    # time would run untraced
+    calls = {}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        return wrapper
+
+    parsers = {"gauss": ["parse_gauss_code"], "pd": ["parse_pd_code"],
+               "braid": ["from_braid_word"], "torus": ["torus_knot_2"],
+               "polyknot": ["project"],
+               "tangle": ["parse_tangle", "gauss_of_tangle"]}
+    for names in parsers.values():
+        for name in names:
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    payloads = {"gauss": "O1+U2+O3+U1+O2+U3+",
+                "pd": "X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]",
+                "braid": "s1 s1 s1", "torus": "3",
+                "polyknot": polyknot_from_braid([1, 1, 1],
+                                                closed=False).to_json(),
+                "tangle": TREFOIL_TANGLE_TEXT}
+    assert payloads.keys() == cli.KINDS.keys()
+    for kind, names in parsers.items():
+        calls.clear()
+        cli._read_input(kind, payloads[kind])
+        assert calls == dict.fromkeys(names, 1), kind
