@@ -12,7 +12,7 @@ together with the Arf invariant, the crossing-number bound, Reidemeister
 move engines, and random generators used by the cross-method test battery.
 """
 
-from .diagram import (Chord, DiagramError, DisagreementError, GaussDiagram,
+from .diagram import (DiagramError, DisagreementError, GaussDiagram,
                       from_braid_word, parse_gauss_code, parse_pd_code,
                       torus_knot_2)
 from .invariants import arf, check_bound, crossing_bound, v2_gauss, v2_sym
@@ -29,7 +29,7 @@ from .tangle import (TangleError, TangleWord, gauss_of_tangle, parse_tangle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chord", "DiagramError", "DisagreementError", "GaussDiagram", "from_braid_word",
+    "DiagramError", "DisagreementError", "GaussDiagram", "from_braid_word",
     "parse_gauss_code", "parse_pd_code", "torus_knot_2",
     "arf", "check_bound", "crossing_bound", "v2_gauss", "v2_sym",
     "MoveEngine", "random_realizable",

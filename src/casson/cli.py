@@ -320,8 +320,6 @@ def _cmd_moves_check(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    from .mcint import v2_mc
-
     seed = args.seed if args.seed is not None else _default_seed()
     _check_count("--samples", args.samples, least=1)
     if args.samples > MAX_SAMPLES:
@@ -334,6 +332,8 @@ def _cmd_integrate(args) -> int:
     if knot.shape != "long":
         raise CliError("integrate needs a long knot, got a closed one",
                        EXIT_VALIDATION)
+    from .mcint import v2_mc  # numpy: paid only by a run that samples
+
     est = v2_mc(knot, args.samples, seed)
     rec = {"command": "integrate", "value": est.value, "samples": est.samples,
            "seed": est.seed, "rejected": est.rejected}
@@ -352,7 +352,7 @@ def ingest_csv(path: str) -> list[dict]:
             if not row or (i == 0 and [c.lower() for c in row[:3]]
                            == ["name", "kind", "payload"]):
                 continue
-            rec = {"name": row[0].strip() if row else f"row{i}"}
+            rec = {"name": row[0].strip()}
             if len(row) < 3:
                 rec["error"] = "need columns name,kind,payload"
             else:

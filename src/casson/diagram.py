@@ -10,18 +10,19 @@ Every method reads only the order of the endpoints around the circle, so
 a chord's endpoints are integer indices: the 2n endpoints of a diagram sit
 at 0..2n-1, numbered from the base point along the orientation.  The
 diagram is stored once, as integer arrays indexed by chord (ids, tail,
-head, sign) plus the chord at each endpoint (at).  The constructors build
-the endpoint order, a list of (chord id, 'T'|'H') tokens, and hand it to
-`GaussDiagram.from_endpoint_order`, the one place that checks it.
+head, sign) plus the chord at each endpoint (at).  Every diagram, from a
+notation here or from a plane curve, tangle word, move or skein descent,
+is built from its endpoint order, a list of (chord id, 'T'|'H') tokens, by
+`GaussDiagram.from_endpoint_order`: the one constructor and the one place
+that checks a diagram.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 __all__ = [
-    "Chord",
     "GaussDiagram",
     "DiagramError",
     "DisagreementError",
@@ -43,49 +44,18 @@ class DisagreementError(ArithmeticError):
     """Formulas that must give one integer do not: always a bug."""
 
 
-class Chord(NamedTuple):
-    """One double point: arrow from the overpass (tail) to the underpass (head)."""
-
-    id: int
-    tail: int
-    head: int
-    sign: int
-
-
 class GaussDiagram:
     """Based Gauss diagram: signed directed chords on an oriented circle.
 
     Stored as integer arrays indexed by chord: ``ids[i]``, ``tail[i]``,
     ``head[i]`` and ``sign[i]`` describe the i-th chord, and ``at[p]`` is
-    the index of the chord with an endpoint at p.  Immutable after
-    construction; all operations return new diagrams.
+    the index of the chord with an endpoint at p.  Built only by
+    `from_endpoint_order`, which checks it; immutable after construction.
     """
-
-    def __init__(self, chords: Iterable[Chord]):
-        chords = tuple(chords)
-        size = 2 * len(chords)
-        at = [-1] * size
-        for i, (cid, tail, head, sign) in enumerate(chords):
-            if sign not in (-1, 1):
-                raise DiagramError(f"chord {cid}: sign must be +1 or -1, got {sign}")
-            for p in (tail, head):
-                if type(p) is not int or not 0 <= p < size or at[p] != -1:
-                    raise DiagramError(f"endpoint positions are not exactly "
-                                       f"0..{size - 1}")
-                at[p] = i
-        self.ids, self.tail, self.head, self.sign = \
-            map(tuple, zip(*chords)) if chords else ((),) * 4
-        if len(set(self.ids)) != len(self.ids):
-            raise DiagramError("duplicate chord ids")
-        self.at = tuple(at)
 
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    @property
-    def chords(self) -> tuple[Chord, ...]:
-        return tuple(map(Chord, self.ids, self.tail, self.head, self.sign))
 
     def order(self) -> list[tuple[int, str]]:
         """Endpoint tokens (chord id, 'T'|'H') in circle order: the input of
@@ -97,23 +67,38 @@ class GaussDiagram:
     @staticmethod
     def from_endpoint_order(order: Iterable[tuple[int, str]],
                             signs: dict[int, int]) -> "GaussDiagram":
-        """Build a diagram from endpoint tokens (chord id, 'T'|'H') in circle order.
+        """Build a diagram from endpoint tokens (chord id, 'T'|'H') in circle
+        order and the sign of each chord, chords indexed in `signs` order.
 
-        The i-th token is the endpoint at position i.
+        The i-th token is the endpoint at position i.  Checked in this order:
+        no token is listed twice, every chord has both endpoints, there are
+        no other tokens, and every sign is +1 or -1.
         """
-        pos: dict[tuple[int, str], int] = {}
-        for i, tok in enumerate(order):
-            if tok in pos:
-                raise DiagramError(f"endpoint {tok} listed twice")
-            pos[tok] = i
-        chords = []
-        for cid, sign in signs.items():
-            if (cid, "T") not in pos or (cid, "H") not in pos:
+        order = list(order)
+        pos = {tok: p for p, tok in enumerate(order)}
+        if len(pos) != len(order):
+            seen = set()
+            for tok in order:
+                if tok in seen:
+                    raise DiagramError(f"endpoint {tok} listed twice")
+                seen.add(tok)
+        tail, head, at = [], [], [0] * len(order)
+        for i, cid in enumerate(signs):
+            t, h = pos.get((cid, "T")), pos.get((cid, "H"))
+            if t is None or h is None:
                 raise DiagramError(f"chord {cid}: missing tail or head endpoint")
-            chords.append(Chord(cid, pos[(cid, "T")], pos[(cid, "H")], sign))
-        if len(pos) != 2 * len(chords):
+            tail.append(t)
+            head.append(h)
+            at[t] = at[h] = i
+        if len(order) != 2 * len(tail):
             raise DiagramError("endpoint tokens do not match the chord set")
-        return GaussDiagram(chords)
+        for cid, sign in signs.items():
+            if sign not in (-1, 1):
+                raise DiagramError(f"chord {cid}: sign must be +1 or -1, got {sign}")
+        g = object.__new__(GaussDiagram)
+        g.ids, g.tail, g.head = tuple(signs), tuple(tail), tuple(head)
+        g.sign, g.at = tuple(signs.values()), tuple(at)
+        return g
 
     def serialize(self) -> str:
         """Canonical Gauss code, labels renumbered by first appearance.
@@ -134,6 +119,7 @@ class GaussDiagram:
 
 
 _GAUSS_TOKEN = re.compile(r"([OU])([1-9][0-9]*)([+-])")
+_GAUSS_TOKENS = re.compile(f"(?:{_GAUSS_TOKEN.pattern})*")
 
 
 def parse_gauss_code(text: str) -> GaussDiagram:
@@ -141,22 +127,21 @@ def parse_gauss_code(text: str) -> GaussDiagram:
 
     Tokens may be concatenated or whitespace separated; the base point
     precedes the first token.  Each label must appear exactly once as O and
-    once as U, with equal signs.
+    once as U, with equal signs.  Tokens are read up to the first that is
+    not one, and a sign disagreement before it is reported first.
     """
     stripped = "".join(text.split())
+    end = _GAUSS_TOKENS.match(stripped).end()
     order: list[tuple[int, str]] = []
     signs: dict[int, int] = {}
-    i = 0
-    while i < len(stripped):
-        m = _GAUSS_TOKEN.match(stripped, i)
-        if not m:
-            raise DiagramError(f"bad Gauss code token at {stripped[i:i+8]!r}")
-        letter, label, sgn = m.group(1), int(m.group(2)), 1 if m.group(3) == "+" else -1
+    for letter, label, sgn in _GAUSS_TOKEN.findall(stripped, 0, end):
+        label, sgn = int(label), 1 if sgn == "+" else -1
         if signs.setdefault(label, sgn) != sgn:
             raise DiagramError(f"label {label}: O and U signs disagree")
         # O token is the overpass: chord tail.  U token is the head.
         order.append((label, "T" if letter == "O" else "H"))
-        i = m.end()
+    if end < len(stripped):
+        raise DiagramError(f"bad Gauss code token at {stripped[end:end+8]!r}")
     return GaussDiagram.from_endpoint_order(order, signs)
 
 

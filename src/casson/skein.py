@@ -65,10 +65,11 @@ def descend(diagram: GaussDiagram) -> FlipTrace:
     """Switch first-met-at-head crossings until the diagram is descending.
 
     The state is kept as tail, head and sign lists on endpoint indices and
-    flipped in place; the final diagram is built once at the end, from the
-    flipped lists.  The walk meets each chord's lower endpoint once and
-    flips the chord when that endpoint is its head, so every chord of the
-    final diagram is tail-first.
+    flipped in place; the final diagram is built once at the end, by
+    `GaussDiagram.from_endpoint_order` from the flipped lists.  The walk
+    meets each chord's lower endpoint once and flips the chord when that
+    endpoint is its head, so every chord of the final diagram is
+    tail-first.
     """
     tail, head, sign = map(list, (diagram.tail, diagram.head, diagram.sign))
     flips = []
@@ -82,7 +83,10 @@ def descend(diagram: GaussDiagram) -> FlipTrace:
                 f"vs smoothing {Fraction(crossings, 2)}")
         flips.append((diagram.ids[c], sign[c], lk))
         tail[c], head[c], sign[c] = head[c], tail[c], -sign[c]
-    final = GaussDiagram(zip(diagram.ids, tail, head, sign))
+    ids = diagram.ids
+    final = GaussDiagram.from_endpoint_order(
+        [(ids[c], "T" if tail[c] == p else "H") for p, c in enumerate(diagram.at)],
+        dict(zip(ids, sign)))
     return FlipTrace(tuple(flips), final)
 
 

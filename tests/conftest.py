@@ -1,4 +1,5 @@
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -12,8 +13,35 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
-from casson.diagram import Chord, GaussDiagram, from_braid_word
+from casson.diagram import GaussDiagram, from_braid_word
 from casson.moves import random_braid_word, random_realizable
+
+
+class Chord(NamedTuple):
+    """One double point: arrow from the overpass (tail) to the underpass
+    (head), endpoints at positions of the circle."""
+
+    id: int
+    tail: int
+    head: int
+    sign: int
+
+
+def chords_of(diagram: GaussDiagram) -> list[Chord]:
+    """The diagram's chords, in chord index order."""
+    return list(map(Chord, diagram.ids, diagram.tail, diagram.head,
+                    diagram.sign))
+
+
+def diagram_of(chords) -> GaussDiagram:
+    """The diagram with these chords, built by `from_endpoint_order`; the
+    endpoint positions are read only for their order."""
+    chords = list(chords)
+    ends = {}
+    for c in chords:
+        ends[c.tail], ends[c.head] = (c.id, "T"), (c.id, "H")
+    return GaussDiagram.from_endpoint_order(
+        [ends[p] for p in sorted(ends)], {c.id: c.sign for c in chords})
 
 
 def reversed_chord(c: Chord) -> Chord:
@@ -23,12 +51,12 @@ def reversed_chord(c: Chord) -> Chord:
 
 def mirror(diagram: GaussDiagram) -> GaussDiagram:
     """Diagram of the mirror knot: every chord reversed, signs negated."""
-    return GaussDiagram(map(reversed_chord, diagram.chords))
+    return diagram_of(map(reversed_chord, chords_of(diagram)))
 
 
 def is_descending(diagram) -> bool:
     """Every chord is first met at its tail."""
-    return all(c.tail < c.head for c in diagram.chords)
+    return all(t < h for t, h in zip(diagram.tail, diagram.head))
 
 
 @pytest.fixture(scope="session")

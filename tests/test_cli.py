@@ -680,6 +680,29 @@ def test_integrate_at_sample_cap_reads_the_file(capsys):
     assert err.startswith("casson: cannot read knot file")
 
 
+import os
+import subprocess
+import sys
+
+import casson
+
+
+@pytest.mark.parametrize("samples, code", [
+    ("0", EXIT_VALIDATION), ("1000", EXIT_PARSE),
+], ids=["samples_0", "missing_file"])
+def test_rejected_integrate_does_not_import_numpy(samples, code):
+    # a fresh interpreter: this one has imported numpy for other tests
+    src = os.path.dirname(os.path.dirname(casson.__file__))
+    script = ("import sys; from casson.cli import main; code = main(["
+              f"'integrate', '--knot', '/nonexistent.json', '--samples', '{samples}'"
+              "]); print(code, 'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(code), "False"]
+    assert len(done.stderr.strip().splitlines()) == 1
+
+
 # -- golden bytes of the whole CLI --------------------------------------------
 
 import hashlib

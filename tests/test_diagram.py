@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casson.diagram import (Chord, DiagramError, GaussDiagram, braid_strands,
+from casson.diagram import (DiagramError, GaussDiagram, braid_strands,
                             closure_walk, from_braid_word, parse_gauss_code, parse_pd_code,
                             torus_knot_2)
 from casson.moves import random_realizable
@@ -45,13 +45,13 @@ def test_parse_gauss_needs_both_passes():
 def test_pd_code_trefoil():
     g = parse_pd_code("X[1,5,2,4] X[3,1,4,6] X[5,3,6,2]")
     assert g.n == 3
-    assert all(c.sign == 1 for c in g.chords)
+    assert g.sign == (1, 1, 1)
 
 
 def test_pd_code_mirror_signs():
     g = parse_pd_code("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]")
     assert g.n == 3
-    assert all(c.sign == -1 for c in g.chords)
+    assert g.sign == (-1, -1, -1)
 
 
 def test_braid_word_trefoil():
@@ -98,7 +98,7 @@ def test_torus_knots():
 def test_mirror_flips_signs():
     g = from_braid_word([1, 1, 1])
     m = mirror(g)
-    assert sorted(c.sign for c in m.chords) == [-1, -1, -1]
+    assert m.sign == (-1, -1, -1)
 
 
 def _base_point_moved(g: GaussDiagram) -> GaussDiagram:
@@ -116,42 +116,57 @@ def test_base_point_move_cycles():
     assert h.serialize() == g.serialize()
 
 
+# The checks of from_endpoint_order, in the order they run: a token listed
+# twice, a missing endpoint, a token count that does not match, a bad sign.
+ENDPOINT_REJECTIONS = [
+    ([(1, "T"), (1, "T")], {1: 1}, "endpoint (1, 'T') listed twice"),
+    ([(1, "T"), (2, "T"), (1, "T")], {2: 1}, "endpoint (1, 'T') listed twice"),
+    ([(1, "T")], {1: 1}, "chord 1: missing tail or head endpoint"),
+    ([(1, "T")], {1: 2}, "chord 1: missing tail or head endpoint"),
+    ([(2, "T"), (2, "H"), (1, "H")], {2: 1, 1: 1},
+     "chord 1: missing tail or head endpoint"),
+    ([(2, "H"), (1, "T")], {2: 1, 1: 1}, "chord 2: missing tail or head endpoint"),
+    ([(1, "T"), (1, "H"), (2, "T")], {1: 2},
+     "endpoint tokens do not match the chord set"),
+    ([(1, "T"), (1, "X"), (1, "H")], {1: 1},
+     "endpoint tokens do not match the chord set"),
+    ([(1, "T"), (1, "H")], {1: 2}, "chord 1: sign must be +1 or -1, got 2"),
+    ([(1, "T"), (2, "T"), (1, "H"), (2, "H")], {1: 1, 2: 0},
+     "chord 2: sign must be +1 or -1, got 0"),
+]
+
+
 def test_from_endpoint_order_validation():
-    with pytest.raises(DiagramError):
-        GaussDiagram.from_endpoint_order([(1, "T")], {1: 1})
-    with pytest.raises(DiagramError):
-        GaussDiagram.from_endpoint_order([(1, "T"), (1, "H")], {1: 2})
+    for order, signs, message in ENDPOINT_REJECTIONS:
+        with pytest.raises(DiagramError) as info:
+            GaussDiagram.from_endpoint_order(order, signs)
+        assert str(info.value) == message, (order, signs)
 
 
-@pytest.mark.parametrize("ends", [
-    [(0, 2), (3, 5)],    # gaps at 1 and 4
-    [(0, 2), (1, 2)],    # duplicate
-    [(-1, 2), (1, 0)],   # negative index
-    [(0, 4), (1, 2)],    # index 2n
-    [(0, 1), (2, 7)],    # index beyond 2n
-    [(0, 2), (3, 0.5)],  # not an integer
-], ids=["gap", "duplicate", "negative", "2n", "beyond_2n", "fraction"])
-def test_positions_must_be_0_to_2n_minus_1(ends):
-    chords = [Chord(i, t, h, 1) for i, (t, h) in enumerate(ends, start=1)]
-    with pytest.raises(DiagramError):
-        GaussDiagram(chords)
-    ok = [Chord(1, 0, 2, 1), Chord(2, 3, 1, -1)]
-    assert GaussDiagram(ok).at == (0, 1, 0, 1)
+# One input per rejection branch of the Gauss parser, and the message it
+# gives.  A sign disagreement is caught as its token is read, so it beats a
+# bad token after it; a bad token beats the endpoint checks, which run on
+# the whole code.
+GAUSS_REJECTIONS = {
+    "O1+O1+": "endpoint (1, 'T') listed twice",              # a token listed twice
+    "O1+U1+U1+": "endpoint (1, 'H') listed twice",           # a third token for one label
+    "U1+": "chord 1: missing tail or head endpoint",         # a chord with one endpoint
+    "O1+U1-": "label 1: O and U signs disagree",             # O and U signs disagree
+    "O1+U2+": "chord 1: missing tail or head endpoint",      # two half chords
+    "Z9*": "bad Gauss code token at 'Z9*'",                  # not a token
+    "U1+O2+U1+": "endpoint (1, 'H') listed twice",           # listed twice beats missing
+    "O1+U1-Z": "label 1: O and U signs disagree",            # sign beats a later bad token
+    "O1+O1+Z": "bad Gauss code token at 'Z'",                # bad token beats listed twice
+    "O1+U1+ O2+U2+O3": "bad Gauss code token at 'O3'",       # whitespace is dropped first
+    "O1+U1+O2+U2+xxxxxxxxxx": "bad Gauss code token at 'xxxxxxxx'",
+}
 
 
-# One input per rejection branch of the Gauss and PD parsers; only the
-# exception type is pinned, not the message.
-@pytest.mark.parametrize("code", [
-    "O1+O1+",      # a token listed twice
-    "O1+U1+U1+",   # a third token for one label
-    "U1+",         # a chord with one endpoint
-    "O1+U1-",      # O and U signs disagree
-    "O1+U2+",      # two half chords
-    "Z9*",         # not a token
-])
+@pytest.mark.parametrize("code", list(GAUSS_REJECTIONS), ids=str)
 def test_parse_gauss_rejects(code):
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError) as info:
         parse_gauss_code(code)
+    assert str(info.value) == GAUSS_REJECTIONS[code]
 
 
 @pytest.mark.parametrize("code", [

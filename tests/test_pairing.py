@@ -3,7 +3,7 @@ import pytest
 from casson.diagram import from_braid_word, parse_gauss_code
 from casson.pairing import (XBWD, XDOWN, XFWD, XUP, X_ALL, ArrowPattern,
                             PatternCombination, bracket, unsigned_match_count)
-from conftest import mirror
+from conftest import chords_of, diagram_of, mirror
 
 
 def test_pattern_validation():
@@ -83,7 +83,7 @@ def enumerated_bracket(pattern, g, signed=True):
     total = 0
     for coeff, pat in terms:
         want = _word(pat.slots)
-        for pair in combinations(g.chords, pat.arity):
+        for pair in combinations(chords_of(g), pat.arity):
             ends = sorted([(c.tail, c.id, "T") for c in pair]
                           + [(c.head, c.id, "H") for c in pair])
             if _word((cid, kind) for _, cid, kind in ends) == want:
@@ -131,8 +131,8 @@ def test_torus_law_up_to_641():
 def _serialized_from_chords(g):
     """Reference Gauss code: endpoints sorted by position, labels renumbered
     by first appearance."""
-    ends = sorted([(c.tail, c.id, "O", c.sign) for c in g.chords]
-                  + [(c.head, c.id, "U", c.sign) for c in g.chords])
+    ends = sorted([(c.tail, c.id, "O", c.sign) for c in chords_of(g)]
+                  + [(c.head, c.id, "U", c.sign) for c in chords_of(g)])
     relabel = {}
     return "".join(f"{letter}{relabel.setdefault(cid, len(relabel) + 1)}"
                    f"{'+' if sign > 0 else '-'}"
@@ -145,7 +145,7 @@ def test_order_round_trip(g):
     arrays = (g.ids, g.tail, g.head, g.sign, g.at)
     rebuilt = (GaussDiagram.from_endpoint_order(
                    g.order(), dict(zip(g.ids, g.sign))),
-               GaussDiagram(g.chords))
+               diagram_of(chords_of(g)))
     for h in rebuilt:
         assert (h.ids, h.tail, h.head, h.sign, h.at) == arrays
         assert h.serialize() == g.serialize() == _serialized_from_chords(g)

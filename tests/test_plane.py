@@ -140,7 +140,7 @@ def test_forced_resolutions_are_unknotted():
         down = curve.gauss_diagram("descending")
         up = curve.gauss_diagram("ascending")
         assert is_descending(down)
-        assert all(c.head < c.tail for c in up.chords)
+        assert all(h < t for t, h in zip(up.tail, up.head))
         assert v2_gauss(down) == v2_gauss(up) == 0
         assert curve.gauss_diagram().serialize() == \
             curve.gauss_diagram("height").serialize()

@@ -3,7 +3,7 @@ import pytest
 from casson.diagram import from_braid_word, parse_gauss_code
 from casson.skein import _interlock_scan, descend, v2_skein
 from casson.invariants import v2_gauss
-from conftest import is_descending, reversed_chord
+from conftest import chords_of, diagram_of, is_descending, reversed_chord
 
 
 def test_descending_fixture():
@@ -61,13 +61,12 @@ from fractions import Fraction
 
 import casson.pairing
 import casson.skein
-from casson.diagram import GaussDiagram
 
 
 def _naive_descend(diagram):
     """Reference descent: rebuild the diagram after every flip and read lk
     off chord positions, both ways."""
-    chords = {c.id: c for c in diagram.chords}
+    chords = {c.id: c for c in chords_of(diagram)}
     flips, seen = [], set()
     for c0_id, kind in diagram.order():
         if c0_id in seen:
@@ -75,11 +74,11 @@ def _naive_descend(diagram):
         seen.add(c0_id)
         if kind == "T":
             continue
-        state = GaussDiagram(chords.values())
-        c = state.chords[state.ids.index(c0_id)]
+        state = chords_of(diagram_of(chords.values()))
+        c = chords[c0_id]
         lo, hi = min(c.tail, c.head), max(c.tail, c.head)
         lk = two = 0
-        for other in state.chords:
+        for other in state:
             if other.id != c.id and (lo < other.tail < hi) != (lo < other.head < hi):
                 two += other.sign
                 if other.head > c.tail:
@@ -87,7 +86,7 @@ def _naive_descend(diagram):
         assert Fraction(two, 2) == lk
         flips.append((c0_id, c.sign, lk))
         chords[c0_id] = reversed_chord(c)
-    return flips, GaussDiagram(chords.values())
+    return flips, diagram_of(chords.values())
 
 
 def test_descend_equals_per_flip_rebuild(diagram_corpus):
@@ -100,9 +99,9 @@ def test_descend_equals_per_flip_rebuild(diagram_corpus):
 
 def test_lk_wrappers_match_reference(diagram_corpus):
     for g in diagram_corpus[:30]:
-        for i, c in enumerate(g.chords):
+        for i, c in enumerate(chords_of(g)):
             lo, hi = min(c.tail, c.head), max(c.tail, c.head)
-            cross = [o for o in g.chords if o.id != c.id
+            cross = [o for o in chords_of(g) if o.id != c.id
                      and (lo < o.tail < hi) != (lo < o.head < hi)]
             assert _interlock_scan(g.tail, g.head, g.sign, i) == \
                 (sum(o.sign for o in cross),
