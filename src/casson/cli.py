@@ -69,10 +69,21 @@ MAX_EVENTS = 100_000
 # random tangle word 8.6 B an event (0.9 MB at the event cap).
 MAX_CHARS = 1 << 21
 
-# Most samples `integrate` may draw: 10**7 take about 4.5 s on a 2-vCPU
+# Most samples `integrate` may draw: 10**7 take about 2.1 s on a 2-vCPU
 # machine, so the cap is minutes.  It is here and not in mcint, whose numpy
 # import the other commands do not pay for.
 MAX_SAMPLES = 10**9
+
+# Sizes of knot that `integrate` samples correctly.  mcint works in doubles,
+# on a knot of diameter D: its tails reach 1e12 D past the ends, with
+# derivatives up to 1e24 D times the slot count; the fourth stratum's line
+# reaches 1e9 times further, so distances run up to about 2e21 D; and a
+# sample closer than 1e-6 D to a coincidence is rejected.  The kernel cubes
+# distances, and the cubes stay normal doubles (2.2e-308 to 1.8e308) for D
+# from 2.8e-97 to 2.8e81; so do its products of one distance and two
+# derivatives, up to 4000 vertices.  The bounds keep a margin.  A coordinate
+# over MAX_EXTENT is refused too: it may not even convert to a double.
+MIN_EXTENT, MAX_EXTENT = 1e-90, 1e80
 
 KINDS = {
     "gauss": "Gauss code, e.g. 'O1+U2+O3+U1+O2+U3+'",
@@ -146,6 +157,17 @@ def _polyknot(text: str) -> PolyKnot:
     knot = PolyKnot.from_json(text)
     _check_limit("polyknot", len(knot.vertices), "vertices", MAX_VERTICES)
     return knot
+
+
+def _check_extent(knot: PolyKnot) -> None:
+    """Exit 2 unless the knot's diameter, computed exactly, and every
+    coordinate are in the range `integrate` samples correctly."""
+    spans = [max(c) - min(c) for c in zip(*knot.vertices)]
+    if not (MIN_EXTENT ** 2 <= sum(s * s for s in spans) <= MAX_EXTENT ** 2
+            and all(abs(c) <= MAX_EXTENT for v in knot.vertices for c in v)):
+        raise CliError(f"integrate needs a knot diameter from {MIN_EXTENT:g} "
+                       f"to {MAX_EXTENT:g} and coordinates of at most "
+                       f"{MAX_EXTENT:g}, which its doubles hold", EXIT_VALIDATION)
 
 
 def _read_input(kind: str, payload: str) -> tuple[GaussDiagram, object]:
@@ -332,6 +354,7 @@ def _cmd_integrate(args) -> int:
     if knot.shape != "long":
         raise CliError("integrate needs a long knot, got a closed one",
                        EXIT_VALIDATION)
+    _check_extent(knot)
     from .mcint import v2_mc  # numpy: paid only by a run that samples
 
     est = v2_mc(knot, args.samples, seed)

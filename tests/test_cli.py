@@ -150,6 +150,71 @@ def test_integrate(tmp_path, capsys):
     assert "std_error" in out and out["samples"] > 0
 
 
+def _scaled_trefoil(tmp_path, exponent):
+    from fractions import Fraction
+
+    from casson.plane import PolyKnot
+
+    knot = polyknot_from_braid([1, 1, 1], closed=False)
+    s = Fraction(10) ** exponent
+    path = tmp_path / f"tref{exponent}.json"
+    path.write_text(PolyKnot(tuple(tuple(c * s for c in v)
+                                   for v in knot.vertices), "long").to_json())
+    return path
+
+
+def _integrate_quietly(capsys, path):
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["integrate", "--knot", str(path), "--samples", "200000",
+                     "--seed", "1", "--report-variance"])
+    out, err = capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, out, err
+
+
+@pytest.mark.parametrize("exponent", [-10, -3, 20, 60])
+def test_integrate_is_scale_invariant(exponent, tmp_path, capsys):
+    # the rejection radius and the tails scale with the knot, so a knot
+    # under 1 across is sampled as well as its unscaled copy
+    code, out, _ = _integrate_quietly(capsys, _scaled_trefoil(tmp_path, 0))
+    want = json.loads(out)
+    code, out, err = _integrate_quietly(capsys,
+                                        _scaled_trefoil(tmp_path, exponent))
+    got = json.loads(out)
+    assert code == 0 and err == ""
+    assert (got["samples"], got["rejected"]) == (want["samples"],
+                                                 want["rejected"])
+    for key in ("value", "std_error"):
+        assert got[key] == pytest.approx(want[key], rel=1e-9)
+
+
+@pytest.mark.parametrize("exponent", [-200, 100, 110, 160])
+def test_integrate_refuses_a_knot_its_doubles_cannot_hold(exponent, tmp_path,
+                                                          capsys):
+    # past the range of cli.MIN_EXTENT to cli.MAX_EXTENT the kernel's cubes
+    # overflow or underflow: the estimate is NaN or every sample is rejected
+    code, out, err = _integrate_quietly(capsys,
+                                        _scaled_trefoil(tmp_path, exponent))
+    assert code == EXIT_VALIDATION and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "knot diameter from 1e-90 to 1e+80" in err
+
+
+def test_integrate_refuses_a_far_off_coordinate(tmp_path, capsys):
+    # a unit-size trefoil 10**400 up the axis: its coordinates do not
+    # convert to doubles
+    knot = polyknot_from_braid([1, 1, 1], closed=False)
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"shape": "long", "vertices": [
+        [str(x), str(y + 10 ** 400), str(z)] for x, y, z in knot.vertices]}))
+    code, out, err = _integrate_quietly(capsys, path)
+    assert code == EXIT_VALIDATION and out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_integrate_bad_file(capsys):
     assert main(["integrate", "--knot", "/nonexistent.json"]) == EXIT_PARSE
 

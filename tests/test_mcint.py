@@ -121,6 +121,12 @@ def test_sample_counts_below_one_are_rejected(count):
         linking_mc(HOPF_A, HOPF_B, count)
 
 
+def test_empty_checkpoint_list_is_rejected():
+    tref = polyknot_from_braid([1, 1, 1], closed=False)
+    with pytest.raises(ValueError, match="checkpoint list is empty"):
+        v2_mc_series(tref, [])
+
+
 # -- the shared polygon primitives against the copies they replaced ---------
 
 def _all_pairs_lk(a, b, shear):

@@ -75,3 +75,49 @@ def test_rejection_threshold():
     # along an axis the norm is exact, so only the radii above the edge pass
     _, ok = mcint._omega_hat(v, a, b, scale)
     assert np.array_equal(ok, np.tile(radii > edge, len(axes)))
+
+
+# -- the blocked chunk and the sorting network ---------------------------------
+
+def test_sorting_network_matches_np_sort():
+    rng = np.random.default_rng(8)
+    for k in (3, 4):
+        uniform = rng.random((5000, k))
+        # a small grid, so that many rows hold tied values
+        tied = rng.integers(0, 3, (5000, k)) / 2.0
+        for t in (uniform, tied, uniform[:, ::-1]):
+            got = mcint._sort_rows(t)
+            assert got.shape == t.shape
+            assert np.array_equal(got, np.sort(t, axis=1))
+        assert (np.diff(tied, axis=1) == 0).any(axis=1).mean() > 0.5
+
+
+_ROWS = (1, mcint.BLOCK - 1, mcint.BLOCK, mcint.BLOCK + 1, mcint.CHUNK)
+
+
+def _same_blocked_and_whole(integrand, draw, *args):
+    vals, ok = mcint._blocked(integrand, draw, *args)
+    want_vals, want_ok = integrand(draw, *args)
+    assert vals.shape == ok.shape == (len(draw),)
+    assert np.array_equal(vals, want_vals) and np.array_equal(ok, want_ok)
+
+
+def test_strata_blocked_match_whole_draw():
+    par = mcint._Param(polyknot_from_braid([1, 1, 1]).vertices, long=True)
+    for m in _ROWS:
+        _same_blocked_and_whole(mcint._integrand_x,
+                                mcint._rng(0, 1, 0).random((m, 4)), par)
+        for k in (2, 3, 4):
+            _same_blocked_and_whole(mcint._tripod,
+                                    mcint._rng(0, k, 0).random((m, 4)), par, k)
+
+
+def test_linking_blocked_matches_whole_draw():
+    loop_a = [(1, -1, 0), (1, 1, 0), (-1, 1, 0), (-1, -1, 0)]
+    loop_b = [(0, -0.3, -1), (2, -0.3, -1), (2, 0.3, 1), (0, 0.3, 1)]
+    par_a = mcint._Param(loop_a, long=False)
+    par_b = mcint._Param(loop_b, long=False)
+    for m in _ROWS:
+        _same_blocked_and_whole(mcint._linking,
+                                mcint._rng(1, 0, 0).random((m, 2)),
+                                par_a, par_b)
