@@ -69,20 +69,21 @@ MAX_EVENTS = 100_000
 # random tangle word 8.6 B an event (0.9 MB at the event cap).
 MAX_CHARS = 1 << 21
 
-# Most samples `integrate` may draw: 10**7 take about 2.1 s on a 2-vCPU
+# Most samples `integrate` may draw: 10**7 take about 1.9 s on a 2-vCPU
 # machine, so the cap is minutes.  It is here and not in mcint, whose numpy
 # import the other commands do not pay for.
 MAX_SAMPLES = 10**9
 
-# Sizes of knot that `integrate` samples correctly.  mcint works in doubles,
-# on a knot of diameter D: its tails reach 1e12 D past the ends, with
-# derivatives up to 1e24 D times the slot count; the fourth stratum's line
-# reaches 1e9 times further, so distances run up to about 2e21 D; and a
-# sample closer than 1e-6 D to a coincidence is rejected.  The kernel cubes
-# distances, and the cubes stay normal doubles (2.2e-308 to 1.8e308) for D
-# from 2.8e-97 to 2.8e81; so do its products of one distance and two
-# derivatives, up to 4000 vertices.  The bounds keep a margin.  A coordinate
-# over MAX_EXTENT is refused too: it may not even convert to a double.
+# Sizes of knot that `integrate` accepts.  mcint samples a copy of the knot
+# scaled by a power of two to a diameter in [0.5, 1), which is exact in
+# doubles, so the kernel sees a normalised knot: its tails reach 1e12 past
+# the ends, with derivatives up to 1e24 times the slot count, and the
+# tripod strata integrate their line in closed form, so no line point is
+# sampled further out.  The bounds were worked out when the kernel saw the
+# knot at its own size D (distances up to about 2e21 D, whose cubes had to
+# stay normal doubles for D from 2.8e-97 to 2.8e81).  They still hold; a
+# wider range would need its own measured worst case.  A coordinate over
+# MAX_EXTENT is refused too: it may not even convert to a double.
 MIN_EXTENT, MAX_EXTENT = 1e-90, 1e80
 
 KINDS = {

@@ -13,8 +13,14 @@ which integrates to 1 over the unit sphere:
   * v2_mc: v2 of a long polygonal knot as a sum of four integrals -- one
     over the 4-point simplex 0 < t1 < t2 < t3 < t4 < 1 and three
     half-weighted integrals over 3-point configurations with an auxiliary
-    line parameter; the half-line parameter domains are mapped to (0,1) by
-    t = -u/(1-u) and t = 1/(1-u).
+    line parameter (the tripod strata).  The line parameter is integrated
+    in closed form (`_line_omega`), over (0,1) in strata 2 and 3 and over
+    the rest of the real line in stratum 4, so a tripod sample draws only
+    its three curve parameters.  This is conditional Monte Carlo: the mean
+    is the same, and the variance can only be lower than with the line
+    parameter sampled.  v2_mc samples a power-of-two copy
+    of the knot of diameter in [0.5, 1), which every integrand, being
+    scale-invariant, gives the same value to the bit.
 
 The two estimators sample their curves through one parametrization of a
 polygon, closed or long, one equal parameter slot per edge (`_Param`).  The
@@ -27,11 +33,13 @@ Both estimators are deterministic for a fixed (seed, samples) pair: samples
 are drawn in fixed-size chunks from counter-based generators keyed by
 (seed, stream, chunk index) and reduced in chunk order, so the result is
 independent of scheduling and bit-for-bit reproducible.  linking_mc reads
-stream 0; v2_mc's stratum k reads stream k (1 the simplex integral, 2-4 the
-three 3-point integrals).  Samples that fall within a small relative
-distance of a singular (coincident-point) configuration are rejected and
-excluded from both the numerator and the sample count, with the rejection
-count reported.
+stream 0; v2_mc's stratum k reads stream k (1 the simplex integral, four
+columns a row; 2-4 the three 3-point integrals, three columns a row).
+Samples that fall within a small relative distance of a singular
+(coincident-point) configuration are rejected and excluded from both the
+numerator and the sample count, with the rejection count reported; so are
+tripod samples whose line passes that close to the origin, which takes in
+every sample with its three points on one edge or tail.
 
 A chunk's draw is evaluated in BLOCK-row blocks (`_blocked`), whose values
 and masks are joined back into one chunk-long array before it is summed.
@@ -168,13 +176,16 @@ class _Param:
         deriv = edge * n
         if self.long:
             L = self.scale
-            y, dy = pos[1], deriv[1]
-            lo = seg == 0
-            s0 = np.clip(s[lo], 1e-12, 1.0)
+            # flat views and flat indices, so each tail is found in one
+            # scan; s >= 0, and s < 1 in the lower tail, so each tail's
+            # clip can bind on one side only
+            y, dy, s = pos[1].reshape(-1), deriv[1].reshape(-1), s.reshape(-1)
+            lo = np.flatnonzero(seg == 0)
+            s0 = np.maximum(s.take(lo), 1e-12)
             y[lo] = self.start[1, 0] - L * (1.0 - s0) / s0
             dy[lo] = L / s0 ** 2 * n
-            hi = seg == n - 1
-            s1 = np.clip(s[hi], 0.0, 1.0 - 1e-12)
+            hi = np.flatnonzero(seg == n - 1)
+            s1 = np.minimum(s.take(hi), 1.0 - 1e-12)
             y[hi] = self.start[1, -1] + L * s1 / (1.0 - s1)
             dy[hi] = L / (1.0 - s1) ** 2 * n
         return np.moveaxis(pos, 0, -1), np.moveaxis(deriv, 0, -1)
@@ -330,37 +341,82 @@ def _integrand_x(u4: np.ndarray, par: _Param):
 
 def _tripod(r: np.ndarray, par: _Param, which: int):
     """The three 3-point integrals, `which` (2, 3 or 4) selecting one, from
-    a raw (m, 4) draw: three curve parameters and the line parameter."""
-    t = _sort_rows(r[:, :3])
-    u = np.clip(r[:, 3], 0.0, 1 - 1e-9)
-    pos, der = par.eval(t)
+    an (m, 3) draw of curve parameters; the line parameter is integrated
+    exactly (`_line_omega`)."""
+    pos, der = par.eval(_sort_rows(r))
     x1, x2, x3 = pos[:, 0], pos[:, 1], pos[:, 2]
     d1, d2, d3 = der[:, 0], der[:, 1], der[:, 2]
     if which == 2:
         w = x1 - x2
         ga, ok1 = _omega_hat(w, d1, d2, par.scale)
-        line = (x2 - x3) + u[:, None] * w
-        gb, ok2 = _omega_hat(line, d3, w, par.scale)
+        gb, ok2 = _line_omega(x2 - x3, w, d3, par.scale, segment=True)
         # (-1)(dt1^dt2) . (-1)(dt3^dt) , even shuffle
         return ga * gb / 6.0, ok1 & ok2
     if which == 3:
         w = x2 - x3
         ga, ok1 = _omega_hat(w, d2, d3, par.scale)
-        line = (x1 - x2) + u[:, None] * w
-        gb, ok2 = _omega_hat(line, d1, w, par.scale)
+        gb, ok2 = _line_omega(x1 - x2, w, d1, par.scale, segment=True)
         # (-1)(dt2^dt3) . (+1)(dt1^dt) , even shuffle
         return -(ga * gb) / 6.0, ok1 & ok2
-    # which == 4: t ranges over (-inf,0) u (1,inf); both branches evaluated
+    # which == 4: t ranges over (-inf,0) u (1,inf)
     w = x3 - x1
     ga, ok1 = _omega_hat(w, d1, d3, par.scale)
-    base = x1 - x2
-    jac = 1.0 / (1.0 - u) ** 2
-    t_neg = -u / (1.0 - u)
-    t_pos = 1.0 / (1.0 - u)
-    gb_n, ok2 = _omega_hat(base + t_neg[:, None] * w, d2, w, par.scale)
-    gb_p, ok3 = _omega_hat(base + t_pos[:, None] * w, d2, w, par.scale)
+    gb, ok2 = _line_omega(x1 - x2, w, d2, par.scale, segment=False)
     # (-1)(dt1^dt3) . (-1)(dt2^dt) , odd shuffle dt1^dt3^dt2^dt
-    return -(ga * (gb_n + gb_p) * jac) / 6.0, ok1 & ok2 & ok3
+    return -(ga * gb) / 6.0, ok1 & ok2
+
+
+def _line_omega(a: np.ndarray, w: np.ndarray, d: np.ndarray, scale: float,
+                segment: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(values, valid mask) of the integral of omega_hat(a + t w)(d, w) over
+    t in (0,1) if `segment`, else over (-inf,0) u (1,inf).
+
+    The numerator (a + t w) . (d x w) = a . (d x w) does not depend on t.
+    With p0 = a, p1 = a + w, r = |p| and D = |a x w|^2, the integral of
+    1/|a + t w|^3 is
+
+        over (0,1):     (r0 + r1) / (r0 r1 (r0 r1 + p0 . p1)),
+        over (1,inf):   1 / (r1 (|w| r1 + w . p1)),
+        over (-inf,0):  1 / (r0 (|w| r0 - w . p0)).
+
+    Each sum X + y there has (X + y)(X - y) = D, so where y < 0 it is taken
+    as D / (X + |y|), which cancels no digits.  A line that passes within
+    _REJECT_EPS * scale of the origin is rejected (collinear and coincident
+    points among them), and its value is 0.
+    """
+    (ax, ay, az), (wx, wy, wz), (dx, dy, dz) = (np.moveaxis(v, -1, 0)
+                                                for v in (a, w, d))
+    nx, ny, nz = ay * wz - az * wy, az * wx - ax * wz, ax * wy - ay * wx
+    big_d = nx * nx + ny * ny + nz * nz
+    big_a = wx * wx + wy * wy + wz * wz
+    valid = big_d > (_REJECT_EPS * scale) ** 2 * big_a
+    bx, by, bz = ax + wx, ay + wy, az + wz
+    r0 = np.sqrt(ax * ax + ay * ay + az * az)
+    r1 = np.sqrt(bx * bx + by * by + bz * bz)
+
+    def inverse(x, y):
+        """(numerator, denominator) whose ratio is D / (x + y)."""
+        e = x + np.abs(y)
+        return np.where(y >= 0, big_d, e * e), e
+
+    if segment:
+        p = r0 * r1
+        top, bottom = inverse(p, ax * bx + ay * by + az * bz)
+        top *= r0 + r1
+        bottom *= p
+    else:
+        length = np.sqrt(big_a)
+        c0 = ax * wx + ay * wy + az * wz
+        top1, bottom1 = inverse(length * r1, c0 + big_a)
+        top0, bottom0 = inverse(length * r0, -c0)
+        bottom1 *= r1
+        bottom0 *= r0
+        top = top1 * bottom0 + top0 * bottom1
+        bottom = bottom1 * bottom0
+    # a . (d x w) = -d . (a x w), the minus sign going to the denominator
+    num = (dx * nx + dy * ny + dz * nz) * top
+    return np.divide(num, (-4.0 * math.pi) * big_d * bottom,
+                     out=np.zeros_like(num), where=valid), valid
 
 
 # Per-stratum orientation signs relative to the natural parameter
@@ -376,7 +432,14 @@ def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
     if knot.shape != "long":
         raise ValueError("v2_mc needs a long knot")
     _check_long_ends(knot.vertices[0], knot.vertices[-1])
-    par = _Param(knot.vertices, long=True)
+    # Scaling by a power of two is exact in doubles, and every integrand is
+    # scale-invariant, so a copy of diameter in [0.5, 1) changes no bit of
+    # the simplex stratum; it keeps the tripods' D, a fourth power of
+    # lengths, inside the doubles whatever the knot's size.
+    v = np.array([[float(c) for c in p] for p in knot.vertices])
+    _, exponent = math.frexp(float(np.linalg.norm(v.max(axis=0)
+                                                   - v.min(axis=0))))
+    par = _Param(np.ldexp(v, -exponent), long=True)
     accs = [_Accumulator() for _ in range(4)]
     out = []
     cp = sorted(set(checkpoints))
@@ -387,7 +450,7 @@ def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
                             par)
         accs[0].add(_STRATUM_SIGNS[0] * vals, ok)
         for k in (2, 3, 4):
-            vals, ok = _blocked(_tripod, _rng(seed, k, chunk).random((m, 4)),
+            vals, ok = _blocked(_tripod, _rng(seed, k, chunk).random((m, 3)),
                                 par, k)
             accs[k - 1].add(0.5 * _STRATUM_SIGNS[k - 1] * vals, ok)
         while cp and done * 4 >= cp[0]:

@@ -6,14 +6,25 @@ np.linalg.norm, np.cross and einsum over the last axis.  The rejection
 masks must be equal.  The values may differ only in the order in which the
 dot product's three terms are added (einsum's order depends on the numpy
 version), so they must agree to a few ulps of |v| |a x b| / (4 pi |v|^3).
+
+The tripod strata integrate their line parameter in closed form
+(`mcint._line_omega`).  Their reference is `_sampled_tripod`, the
+integrand with that parameter sampled, integrated over it by Gauss-Legendre
+quadrature.
 """
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from casson import mcint
-from casson.plane import polyknot_from_braid
+from casson.mcint import v2_mc
+from casson.plane import PolyKnot, polyknot_from_braid
+
+KNOTS = ([1, 1, 1], [1, -2, 1, -2], [1] * 7)
 
 
 def _reference(v, a, b, scale):
@@ -109,7 +120,7 @@ def test_strata_blocked_match_whole_draw():
                                 mcint._rng(0, 1, 0).random((m, 4)), par)
         for k in (2, 3, 4):
             _same_blocked_and_whole(mcint._tripod,
-                                    mcint._rng(0, k, 0).random((m, 4)), par, k)
+                                    mcint._rng(0, k, 0).random((m, 3)), par, k)
 
 
 def test_linking_blocked_matches_whole_draw():
@@ -121,3 +132,98 @@ def test_linking_blocked_matches_whole_draw():
         _same_blocked_and_whole(mcint._linking,
                                 mcint._rng(1, 0, 0).random((m, 2)),
                                 par_a, par_b)
+
+
+# -- the tripods' line parameter, integrated in closed form --------------------
+
+def _sampled_tripod(r, par, which):
+    """The tripod integrand with the line parameter sampled, as the kernel
+    had it before that integral was taken in closed form: r is an (m, 4)
+    draw, three curve parameters and the line parameter u."""
+    t = np.sort(r[:, :3], axis=1)
+    u = np.clip(r[:, 3], 0.0, 1 - 1e-9)
+    pos, der = par.eval(t)
+    x1, x2, x3 = pos[:, 0], pos[:, 1], pos[:, 2]
+    d1, d2, d3 = der[:, 0], der[:, 1], der[:, 2]
+    if which == 2:
+        w = x1 - x2
+        ga, ok1 = mcint._omega_hat(w, d1, d2, par.scale)
+        line = (x2 - x3) + u[:, None] * w
+        gb, ok2 = mcint._omega_hat(line, d3, w, par.scale)
+        return ga * gb / 6.0, ok1 & ok2
+    if which == 3:
+        w = x2 - x3
+        ga, ok1 = mcint._omega_hat(w, d2, d3, par.scale)
+        line = (x1 - x2) + u[:, None] * w
+        gb, ok2 = mcint._omega_hat(line, d1, w, par.scale)
+        return -(ga * gb) / 6.0, ok1 & ok2
+    # the complement of (0,1), as t = -u/(1-u) and t = 1/(1-u)
+    w = x3 - x1
+    ga, ok1 = mcint._omega_hat(w, d1, d3, par.scale)
+    base = x1 - x2
+    jac = 1.0 / (1.0 - u) ** 2
+    t_neg = -u / (1.0 - u)
+    t_pos = 1.0 / (1.0 - u)
+    gb_n, ok2 = mcint._omega_hat(base + t_neg[:, None] * w, d2, w, par.scale)
+    gb_p, ok3 = mcint._omega_hat(base + t_pos[:, None] * w, d2, w, par.scale)
+    return -(ga * (gb_n + gb_p) * jac) / 6.0, ok1 & ok2 & ok3
+
+
+def _quadrature(t, par, which, nodes):
+    """Gauss-Legendre quadrature of _sampled_tripod over u in (0,1), and
+    whether every node was accepted, at each row of t."""
+    x, weights = np.polynomial.legendre.leggauss(nodes)
+    r = np.column_stack((np.repeat(t, nodes, axis=0),
+                         np.tile((x + 1.0) / 2.0, len(t))))
+    vals, ok = _sampled_tripod(r, par, which)
+    vals = vals.reshape(len(t), nodes) @ (weights / 2.0)
+    return vals, ok.reshape(len(t), nodes).all(axis=1)
+
+
+@pytest.mark.parametrize("word", KNOTS, ids=["3_1", "4_1", "T7_2"])
+def test_tripods_match_quadrature_over_the_line(word):
+    # a row is well conditioned when the quadrature has converged on it:
+    # 64 and 128 nodes agree to 1e-12
+    par = mcint._Param(polyknot_from_braid(word).vertices, long=True)
+    for which in (2, 3, 4):
+        t = mcint._rng(0, which, 0).random((1000, 3))
+        got, ok = mcint._tripod(t, par, which)
+        coarse, _ = _quadrature(t, par, which, 64)
+        fine, fine_ok = _quadrature(t, par, which, 128)
+        good = ok & fine_ok & (np.abs(coarse - fine) <= 1e-12 * np.abs(fine))
+        assert good.mean() > 0.8
+        assert np.all(np.abs(got - fine)[good] <= 1e-8 * np.abs(fine)[good])
+
+
+def test_collinear_and_coincident_tripods_are_rejected():
+    par = mcint._Param(polyknot_from_braid([1, 1, 1]).vertices, long=True)
+    n = par.start.shape[1]
+    slots = np.arange(n)[:, None]
+    # three points on one straight edge or tail, then repeated points
+    collinear = (slots + np.array([0.2, 0.5, 0.7])) / n
+    t = np.random.default_rng(9).random((200, 1))
+    coincident = np.concatenate((np.hstack((t, t, t[::-1])),
+                                 np.hstack((t, t[::-1], t[::-1])),
+                                 np.hstack((t, t, t))))
+    for rows in (collinear, coincident):
+        for which in (2, 3, 4):
+            with np.errstate(all="raise"):
+                vals, ok = mcint._tripod(rows, par, which)
+            assert np.all(np.isfinite(vals)) and not ok.any()
+
+
+@pytest.mark.parametrize("exponent", [100, -60])
+def test_v2_mc_is_scale_invariant(exponent):
+    # v2_mc samples a power-of-two copy of the knot of diameter in [0.5, 1),
+    # so a knot far outside the unit size keeps D = |a x w|^2 in the doubles
+    knot = polyknot_from_braid([1, 1, 1])
+    want = v2_mc(knot, 20_000, seed=1)
+    factor = Fraction(10) ** exponent
+    scaled = PolyKnot(tuple(tuple(c * factor for c in v)
+                            for v in knot.vertices), "long")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = v2_mc(scaled, 20_000, seed=1)
+    assert (got.samples, got.rejected) == (want.samples, want.rejected)
+    assert math.isclose(got.value, want.value, rel_tol=1e-9)
+    assert math.isclose(got.std_error, want.std_error, rel_tol=1e-9)

@@ -26,41 +26,41 @@ COUNTS = (1, 5, 40001, 70001, 140001)
 # (value, std_error, samples, rejected) at each of COUNTS
 V2_MC_SEED7 = {
     "3_1": [
-        (1.3112569419230973, 2e+18, 4, 0),
-        (0.7387955715362119, 0.460667077760447, 8, 0),
-        (0.7090486355827205, 0.15573226609741156, 40004, 0),
-        (0.9466916845560174, 0.18510358780114244, 70004, 0),
-        (1.001463255028757, 0.13686937177195443, 140004, 0),
+        (1.3332606776919576, 2e+18, 4, 0),
+        (-2.331926509457098, 1.967790436948722, 8, 0),
+        (0.6810671887017219, 0.163163932352256, 39931, 73),
+        (0.80501913906888, 0.11611293550007432, 69868, 136),
+        (1.009867264636971, 0.0810461084198669, 139769, 235),
     ],
     "4_1": [
-        (-5.790347086335914, 2e+18, 4, 0),
-        (-2.3964250172635575, 2.093254388881803, 8, 0),
-        (-0.3433071834314785, 1.0821781230922847, 40004, 0),
-        (-0.6359932073169369, 0.6697464052368941, 70004, 0),
-        (-1.4488158752404379, 0.4271429521413281, 140004, 0),
+        (-4.3143914592365995, 2e+18, 4, 0),
+        (-1.8875237434583032, 1.531604281640495, 8, 0),
+        (-0.4100216050075994, 1.0923087048078077, 39921, 83),
+        (-0.7784096380613861, 0.6730111188446507, 69843, 161),
+        (-1.3287833732082228, 0.42527967919635373, 139701, 303),
     ],
     "T7_2": [
-        (-10.108272042439818, 2e+18, 4, 0),
-        (-2.367834029673393, 4.838730015100452, 8, 0),
-        (7.697576850930371, 1.7410650392085127, 40004, 0),
-        (6.117483916451895, 1.224711557917287, 70004, 0),
-        (5.9067007194994465, 0.9731985550752754, 140004, 0),
+        (-10.00380263968931, 2e+18, 4, 0),
+        (-2.1330172322523286, 4.867136468543567, 8, 0),
+        (8.039565385893503, 1.717773938967338, 39991, 13),
+        (6.563851137617592, 1.1536922016735354, 69983, 21),
+        (5.980872087087107, 0.9571969553824546, 139956, 48),
     ],
 }
 V2_MC_SERIES_SEED3 = {
     "3_1": [
-        (1.0450035082236595, 0.17463929203605338, 131072, 0),
-        (1.0450035082236595, 0.17463929203605338, 131072, 0),
-        (1.0450035082236595, 0.17463929203605338, 131072, 0),
-        (1.0450035082236595, 0.17463929203605338, 131072, 0),
-        (1.0582464913033822, 0.1648677399379335, 140004, 0),
+        (0.9191997310958706, 0.07404119942366744, 130823, 249),
+        (0.9191997310958706, 0.07404119942366744, 130823, 249),
+        (0.9191997310958706, 0.07404119942366744, 130823, 249),
+        (0.9191997310958706, 0.07404119942366744, 130823, 249),
+        (0.9394921473566862, 0.07273616269216401, 139738, 266),
     ],
     "4_1": [
-        (-0.9631623225758446, 0.2708821196012885, 131072, 0),
-        (-0.9631623225758446, 0.2708821196012885, 131072, 0),
-        (-0.9631623225758446, 0.2708821196012885, 131072, 0),
-        (-0.9631623225758446, 0.2708821196012885, 131072, 0),
-        (-1.7412858883109106, 0.7622845237153982, 140004, 0),
+        (-1.1069100001883954, 0.2618755143737009, 130789, 283),
+        (-1.1069100001883954, 0.2618755143737009, 130789, 283),
+        (-1.1069100001883954, 0.2618755143737009, 130789, 283),
+        (-1.1069100001883954, 0.2618755143737009, 130789, 283),
+        (-1.1229953100372678, 0.2525598032698324, 139701, 303),
     ],
 }
 LINKING_MC_SEED11 = [
