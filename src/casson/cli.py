@@ -54,7 +54,9 @@ MAX_CHORDS = 20001
 # pass per double point and extremum, so the chord cap alone does not bound
 # a polyknot run.  A 4000-vertex zigzag with 19740 crossings takes about
 # 7 minutes under --method all on a 2-vCPU machine.  It caps `integrate` too:
-# its sampling does not grow with the vertices, but its exact parse does.
+# its sampling does not grow with the vertices, but its exact parse does, and
+# the closed form of its simplex stratum takes O(n^2) time in blocks of
+# bounded memory (4000 vertices: about 1-1.5 s and 8 MB more per call).
 MAX_VERTICES = 4000
 
 # Most events a tangle word may have, counted as parse_tangle counts them
@@ -69,7 +71,7 @@ MAX_EVENTS = 100_000
 # random tangle word 8.6 B an event (0.9 MB at the event cap).
 MAX_CHARS = 1 << 21
 
-# Most samples `integrate` may draw: 10**7 take about 1.9 s on a 2-vCPU
+# Most samples `integrate` may draw: 10**7 take 2-3 s on a 2-vCPU
 # machine, so the cap is minutes.  It is here and not in mcint, whose numpy
 # import the other commands do not pay for.
 MAX_SAMPLES = 10**9

@@ -13,14 +13,24 @@ which integrates to 1 over the unit sphere:
   * v2_mc: v2 of a long polygonal knot as a sum of four integrals -- one
     over the 4-point simplex 0 < t1 < t2 < t3 < t4 < 1 and three
     half-weighted integrals over 3-point configurations with an auxiliary
-    line parameter (the tripod strata).  The line parameter is integrated
-    in closed form (`_line_omega`), over (0,1) in strata 2 and 3 and over
-    the rest of the real line in stratum 4, so a tripod sample draws only
-    its three curve parameters.  This is conditional Monte Carlo: the mean
-    is the same, and the variance can only be lower than with the line
-    parameter sampled.  v2_mc samples a power-of-two copy
-    of the knot of diameter in [0.5, 1), which every integrand, being
-    scale-invariant, gives the same value to the bit.
+    line parameter (the tripod strata).
+
+What has a closed form is computed in closed form, and only the rest is
+sampled.  The simplex stratum is split by the parameter slots (edges and
+tails) of its four points.  Over four distinct slots a < b < c < d the
+integrand is a product, and that part equals the sum of I(a, c) I(b, d),
+where I(p, q) is the Gauss integral of two straight slots, a signed solid
+angle over 4 pi (`_gauss`); it is summed once per estimate in O(n^2) for n
+slots (`_simplex_exact`).  The rest, the tuples with two points in one
+slot, is sampled, and only where the integrand can be nonzero
+(`_coincident_points`).  In the tripod strata the line parameter is
+integrated in closed form (`_line_omega`), over (0,1) in strata 2 and 3
+and over the rest of the real line in stratum 4, so a tripod sample draws
+only its three curve parameters.  Both are conditional Monte Carlo: the
+mean is the same, and the variance can only be lower than with those
+parts sampled.  v2_mc samples a power-of-two copy of the knot, translated
+by its first vertex (exactly) and of diameter in [0.5, 1), which every
+integrand, being translation- and scale-invariant, gives the same value.
 
 The two estimators sample their curves through one parametrization of a
 polygon, closed or long, one equal parameter slot per edge (`_Param`).  The
@@ -33,22 +43,24 @@ Both estimators are deterministic for a fixed (seed, samples) pair: samples
 are drawn in fixed-size chunks from counter-based generators keyed by
 (seed, stream, chunk index) and reduced in chunk order, so the result is
 independent of scheduling and bit-for-bit reproducible.  linking_mc reads
-stream 0; v2_mc's stratum k reads stream k (1 the simplex integral, four
-columns a row; 2-4 the three 3-point integrals, three columns a row).
-Samples that fall within a small relative distance of a singular
-(coincident-point) configuration are rejected and excluded from both the
-numerator and the sample count, with the rejection count reported; so are
-tripod samples whose line passes that close to the origin, which takes in
-every sample with its three points on one edge or tail.
+stream 0; v2_mc's stratum k reads stream k (1 the simplex integral's
+coincident slots, four columns a row; 2-4 the three 3-point integrals,
+three columns a row).  Samples that fall within a small relative distance
+of a singular (coincident-point) configuration are rejected and excluded
+from both the numerator and the sample count, with the rejection count
+reported; so are tripod samples whose line passes that close to the
+origin, except those with their three points on one straight line, where
+the integrand is 0: they are accepted zeros.
 
-A chunk's draw is evaluated in BLOCK-row blocks (`_blocked`), whose values
-and masks are joined back into one chunk-long array before it is summed.
-The two sizes serve different ends.  CHUNK is part of the RNG keys, so
-changing it changes every estimate.  BLOCK only keeps an integrand's
-(3, rows, points) temporaries small enough to stay in cache: at 32768 rows
-they take 2-3 MiB each, and the allocator returns them to the kernel
-between chunks.  Every integrand works row by row, so the block size
-cannot change a result.
+A chunk's draw is drawn and evaluated in BLOCK-row blocks (`_blocked`),
+whose values and masks are joined back into one chunk-long array before it
+is summed.  The two sizes serve different ends.  CHUNK is part of the RNG
+keys, so changing it changes every estimate.  BLOCK only keeps the draw and
+an integrand's (3, rows, points) temporaries small enough to stay in cache:
+at 32768 rows they take 2-3 MiB each, and the allocator returns them to the
+kernel between chunks.  The generator gives the same numbers drawn in
+blocks as in one call, and every integrand works row by row, so the block
+size cannot change a result.
 """
 
 from __future__ import annotations
@@ -99,7 +111,7 @@ class _Accumulator:
         self.rejected = 0
 
     def add(self, values: np.ndarray, valid: np.ndarray):
-        good = values[valid]
+        good = values if valid.all() else values[valid]
         self.n += good.size
         self.rejected += values.size - good.size
         self.total += float(good.sum())
@@ -115,18 +127,23 @@ class _Accumulator:
         return math.sqrt(max(var, 0.0) / self.n)
 
 
+def _coords(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three coordinate views of a (..., 3) array (np.moveaxis's, at a
+    fraction of its call overhead, which the per-block kernels pay often)."""
+    return v[..., 0], v[..., 1], v[..., 2]
+
+
 def _omega_hat(v: np.ndarray, a: np.ndarray, b: np.ndarray,
                scale: float) -> tuple[np.ndarray, np.ndarray]:
     """(values, valid mask) of the normalized solid-angle coefficient."""
-    (x, y, z), (ax, ay, az), (bx, by, bz) = (np.moveaxis(w, -1, 0)
-                                             for w in (v, a, b))
+    (x, y, z), (ax, ay, az), (bx, by, bz) = map(_coords, (v, a, b))
     norm = np.sqrt(x * x + y * y + z * z)
     valid = norm > _REJECT_EPS * scale
     safe = np.where(valid, norm, 1.0)
     # a x b as np.cross forms it, dotted as einsum sums it: (x + z) + y
     num = ((x * (ay * bz - az * by) + z * (ax * by - ay * bx))
            + y * (az * bx - ax * bz))
-    return num / (4.0 * math.pi * safe ** 3), valid
+    return num / (4.0 * math.pi * (safe * safe * safe)), valid
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +161,8 @@ class _Param:
 
     `start` and `edge` are (3, n) tables, one row per coordinate.  eval
     evaluates every sample on a straight edge of the padded table, into
-    (3, ...) buffers.  A tail slot's edge is a signed zero ((-0, 0, -0) low,
+    (3, ...) buffers; `at` does the same for points given as (slot, offset
+    in the slot).  A tail slot's edge is a signed zero ((-0, 0, -0) low,
     0 high), which leaves x and z at the end vertex with the ray's zero
     derivative, so only y is overwritten in the tail slots.  eval returns
     (..., 3) views of the buffers, and `pos[..., k]` is contiguous.
@@ -164,12 +182,21 @@ class _Param:
         self.start = np.ascontiguousarray(start.T)
         self.edge = np.ascontiguousarray(edge.T)
 
-    def eval(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(position, d position / dt) arrays; t strictly inside (0,1)."""
+    def slots(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slot, offset in the slot) of each parameter t in (0,1)."""
         n = self.start.shape[1]
         x = t * n
         seg = np.minimum(x.astype(int), n - 1)
-        s = x - seg
+        return seg, x - seg
+
+    def eval(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position, d position / dt) arrays; t strictly inside (0,1)."""
+        return self.at(*self.slots(t))
+
+    def at(self, seg: np.ndarray,
+           s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """eval at the point s in [0,1) of the way through slot seg."""
+        n = self.start.shape[1]
         edge = self.edge.take(seg, axis=1)
         pos = self.start.take(seg, axis=1)
         pos += s * edge
@@ -188,7 +215,8 @@ class _Param:
             s1 = np.minimum(s.take(hi), 1.0 - 1e-12)
             y[hi] = self.start[1, -1] + L * s1 / (1.0 - s1)
             dy[hi] = L / (1.0 - s1) ** 2 * n
-        return np.moveaxis(pos, 0, -1), np.moveaxis(deriv, 0, -1)
+        axes = (*range(1, pos.ndim), 0)
+        return pos.transpose(axes), deriv.transpose(axes)
 
 
 def _chunks(samples: int):
@@ -199,11 +227,15 @@ def _chunks(samples: int):
         yield chunk, end - start, end
 
 
-def _blocked(integrand, draw: np.ndarray, *args):
+def _blocked(integrand, rng: np.random.Generator, rows: int, cols: int,
+             *args):
     """(values, valid mask) of integrand(block, *args) over consecutive
-    BLOCK-row blocks of draw, joined in row order."""
-    parts = [integrand(draw[i:i + BLOCK], *args)
-             for i in range(0, len(draw), BLOCK)]
+    BLOCK-row blocks of rng's (rows, cols) uniform draw, joined in row
+    order.  Each block is drawn as it is evaluated: the generator yields
+    the same numbers as one rng.random((rows, cols)) call, and no
+    chunk-long draw is held."""
+    parts = [integrand(rng.random((min(BLOCK, rows - i), cols)), *args)
+             for i in range(0, rows, BLOCK)]
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -216,7 +248,11 @@ def _sort_rows(t: np.ndarray) -> np.ndarray:
     """t's rows sorted ascending, by a min/max sorting network over its
     columns: min and max each return one of their inputs, so the values are
     np.sort(t, axis=1)'s."""
-    cols = list(t.T)
+    return _sort_columns(list(t.T))
+
+
+def _sort_columns(cols: list) -> np.ndarray:
+    """The (m, k) array of the k columns' rows, each sorted ascending."""
     for i, j in _NETWORKS[len(cols)]:
         cols[i], cols[j] = (np.minimum(cols[i], cols[j]),
                             np.maximum(cols[i], cols[j]))
@@ -243,7 +279,7 @@ def linking_mc(loop1, loop2, samples: int, seed: int = 0) -> McEstimate:
     par2 = _Param(_vertices_of(loop2), long=False)
     acc = _Accumulator()
     for chunk, m, _ in _chunks(samples):
-        acc.add(*_blocked(_linking, _rng(seed, 0, chunk).random((m, 2)),
+        acc.add(*_blocked(_linking, _rng(seed, 0, chunk), m, 2,
                           par1, par2))
     return McEstimate(acc.mean(), acc.std_error(), acc.n, seed, acc.rejected)
 
@@ -326,24 +362,194 @@ def _lk_projected(a, b, shear: Fraction) -> int:
 # configuration space, the latter pinned by calibration against the
 # combinatorial v2 of the trefoil and figure-eight fixtures.
 
-def _integrand_x(u4: np.ndarray, par: _Param):
-    """Simplex integral: omega(x1-x3) ^ omega(x4-x2) over t1<t2<t3<t4."""
-    t = _sort_rows(u4)
-    pos, der = par.eval(t)
+def _gauss(a, b, c, d) -> np.ndarray:
+    """I(p, q), the integral of omega_hat(x(t) - y(s))(x'(t), y'(s)) over t
+    on a straight piece p and s on a straight piece q, from the corners
+    A, B, C, D of the parallelogram {x - y : x on p, y on q} at (t, s) =
+    (start, start), (end, start), (end, end), (start, end), each given as
+    three coordinate arrays.
+
+    I is minus the parallelogram's solid angle over 4 pi.  The solid angle
+    is the sum of those of the triangles ABC and ACD, each 2 atan2(n, d)
+    with n = r1 . (r2 x r3) and d = |r1||r2||r3| + (r1.r2)|r3|
+    + (r1.r3)|r2| + (r2.r3)|r1| (Van Oosterom and Strackee 1983).  The sum
+    is below 2 pi in size, so it is twice the argument of
+    (d1 + i n1)(d2 + i n2).  Both ratios are unchanged when one corner is
+    scaled, so a corner at infinity may be given as its direction.
+    """
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    def triple(u, v, w):
+        return (u[0] * (v[1] * w[2] - v[2] * w[1])
+                + u[1] * (v[2] * w[0] - v[0] * w[2])
+                + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+    ra, rb, rc, rd = (np.sqrt(dot(u, u)) for u in (a, b, c, d))
+    ac = dot(a, c)
+    n1, n2 = triple(a, b, c), triple(a, c, d)
+    d1 = ra * rb * rc + dot(a, b) * rc + ac * rb + dot(b, c) * ra
+    d2 = ra * rc * rd + ac * rd + dot(a, d) * rc + dot(c, d) * ra
+    return np.arctan2(n1 * d2 + n2 * d1, d1 * d2 - n1 * n2) / (-2.0 * math.pi)
+
+
+def _gauss_block(lo: np.ndarray, hi: np.ndarray, rows: int, c0: int,
+                 c1: int) -> np.ndarray:
+    """I(p, q) (`_gauss`) for slots p < rows and c0 <= q < c1 of a long
+    polygon whose slot k runs from lo[k] to hi[k], 0 where q < p + 2.
+
+    The lower tail starts at infinity below, so its A and D point along
+    (0, -1, 0); the upper tail ends at infinity above, so its C and D do
+    too.  Adjacent slots are coplanar and give 0; so does the tail-tail
+    pair, three of whose corners point along (0, -1, 0).
+    """
+    corners = [[first[:rows, k, None] - second[None, c0:c1, k]
+                for k in range(3)]
+               for first, second in ((lo, lo), (hi, lo), (hi, hi), (lo, hi))]
+    a, b, c, d = corners
+    for k, down in enumerate((0.0, -1.0, 0.0)):
+        a[k][0], d[k][0] = down, down
+        if c1 == len(lo):
+            c[k][:, -1], d[k][:, -1] = down, down
+    apart = np.arange(rows)[:, None] <= np.arange(c0, c1) - 2
+    return np.where(apart, _gauss(a, b, c, d), 0.0)
+
+
+# Slot pairs in one block of _simplex_exact, whose temporaries then take a
+# few MiB whatever the number of slots.
+PAIR_BLOCK = 1 << 16
+
+
+def _simplex_exact(v: np.ndarray) -> float:
+    """The simplex stratum over four distinct slots of the long polygon v,
+    the sum over a < b < c < d of I(a, c) I(b, d) (`_gauss_block`), in
+    O(n^2) time for n slots.
+
+    With R(b, c) the sum of I(b, d) over d > c, it is the sum of
+    I(a, c) J(a, c) over a < c, J(a, c) being the sum of R(b, c) over
+    a < b < c.  Blocks of about PAIR_BLOCK entries of I, whole columns, are
+    taken from the right: the row sums of the blocks done give R, and a
+    cumulative sum down each column gives J.
+    """
+    lo = np.concatenate((v[:1], v))
+    hi = np.concatenate((v, v[-1:]))
+    n = len(lo)
+    width = max(1, PAIR_BLOCK // n)
+    done = np.zeros(n)  # row sums of I over the columns done
+    total = 0.0
+    for c1 in range(n, 2, -width):
+        c0 = max(c1 - width, 2)
+        # R(b, c) for b up to c1 - 2; I(p, q) is 0 for p > c1 - 3
+        rows = c1 - 1
+        g = _gauss_block(lo, hi, rows, c0, c1)
+        r = done[:rows, None] + (np.cumsum(g[:, ::-1], axis=1)[:, ::-1] - g)
+        below = np.zeros((rows + 1, c1 - c0))
+        np.cumsum(r, axis=0, out=below[1:])
+        col = np.arange(c1 - c0)
+        total += float((g * (below[col + c0, col] - below[1:])).sum())
+        done[:rows] += g.sum(axis=1)
+    return total
+
+
+def _coincident_points(r: np.ndarray, n: int) -> np.ndarray:
+    """n t1 < n t2 < n t3 < n t4, each a slot plus an offset in it, from an
+    (m, 4) draw, uniform on the tuples of n slots that have two equal and
+    no more: patterns x=x<y<z, x<y=y<z, x<y<z=z and x=x<y=y.
+
+    Columns 0-2 give three distinct slots i0, i1, i2, each column uniform
+    below n, n - 1 and n - 2 and moved by whole slots past the slots taken
+    before it.  The fourth point is in slot i0, whose rank among the three
+    is uniform, so the equal pair is the first, middle or last slot with
+    equal odds, as the first three patterns have equal measure,
+    2n(n-1)(n-2) / n^4 of the unit cube each.  With probability
+    1 / (2n - 3), its share of the four patterns' measure, x=x<y=y (measure
+    3n(n-1) / n^4) puts the third point in i1 instead.  No row is redrawn,
+    and one sort orders the points, across slots and in each slot.
+    """
+    first = r[:, 0] * n
+    i0 = np.floor(first)
+    second = r[:, 1] * (n - 1)
+    second += second >= i0
+    i1 = np.floor(second)
+    third = r[:, 2] * (n - 2)
+    third += third >= np.minimum(i0, i1)
+    third += third >= np.maximum(i0, i1)
+    # x < 1 picks x=x<y=y; x - floor(x) is uniform in [0, 1) either way, as
+    # 1 and 2n - 4 are whole numbers
+    x = r[:, 3] * (2 * n - 3)
+    third = np.where(x < 1.0, i1 + (third - np.floor(third)), third)
+    fourth = i0 + (x - np.floor(x))
+    return _sort_columns([first, second, third, fourth])
+
+
+def _coincident(r: np.ndarray, par: _Param):
+    """The simplex stratum on the slot tuples of `_coincident_points`, the
+    rest of it: three or four equal slots give 0 (x1, x3 or x2, x4 on one
+    straight edge or tail), and four distinct ones are _simplex_exact's.
+    A row is weighted by the four patterns' measure,
+    P = 3(n-1)(2n-3) / n^3."""
+    n = par.start.shape[1]
+    t = _coincident_points(r, n)
+    # a point at the top of slot n - 1 may round up to n
+    seg = np.minimum(t.astype(np.intp), n - 1)
+    pos, der = par.at(seg, t - seg)
     g13, ok1 = _omega_hat(pos[:, 0] - pos[:, 2], der[:, 0], der[:, 2],
                           par.scale)
     g42, ok2 = _omega_hat(pos[:, 3] - pos[:, 1], der[:, 1], der[:, 3],
                           par.scale)
-    # dt1^dt3 ^ dt2^dt4 = -dt1^dt2^dt3^dt4, and each factor carries one
-    # minus from d(x_i - x_j)
-    return -(g13 * g42) / 24.0, ok1 & ok2
+    # omega(x1-x3) ^ omega(x4-x2): dt1^dt3 ^ dt2^dt4 = -dt1^dt2^dt3^dt4,
+    # and each factor carries one minus from d(x_i - x_j); the sorted cube
+    # has volume 1/24
+    weight = 3.0 * (n - 1) * (2 * n - 3) / n ** 3 / 24.0
+    return -weight * (g13 * g42), ok1 & ok2
 
 
-def _tripod(r: np.ndarray, par: _Param, which: int):
+def _slot_lines(vertices) -> np.ndarray:
+    """One id per slot of a long polygon with exact vertices, equal for the
+    slots that lie on one straight line (the two tails always do).
+
+    A line through p along d is keyed by its Pluecker coordinates (d, p x d)
+    up to a common factor; here d and p are integer vectors times the
+    denominator of p's coordinates, and the key is divided by its gcd with
+    the sign that makes d's leading entry positive.  Integers, not
+    Fractions: this runs once per estimate, and Fraction arithmetic would
+    take milliseconds on a 50-vertex knot.
+    """
+    points = []
+    for p in vertices:
+        den = math.lcm(*(c.denominator for c in p))
+        points.append(([c.numerator * (den // c.denominator) for c in p],
+                       den))
+    top, bottom = points[0], points[-1]
+    pieces = ([(top, [0, 1, 0])]
+              + [(p, [b * p[1] - a * q[1] for a, b in zip(p[0], q[0])])
+                 for p, q in zip(points, points[1:])]
+              + [(bottom, [0, 1, 0])])
+    ids = {}
+    out = []
+    for k, ((p, den), d) in enumerate(pieces):
+        key = ([c * den for c in d]
+               + [p[1] * d[2] - p[2] * d[1], p[2] * d[0] - p[0] * d[2],
+                  p[0] * d[1] - p[1] * d[0]])
+        g = math.gcd(*key)
+        if g == 0:  # a zero-length edge lies on no one line
+            key = k
+        else:
+            g = g if next(c for c in key if c) > 0 else -g
+            key = tuple(c // g for c in key)
+        out.append(ids.setdefault(key, len(ids)))
+    return np.array(out)
+
+
+def _tripod(r: np.ndarray, par: _Param, which: int, lines: np.ndarray):
     """The three 3-point integrals, `which` (2, 3 or 4) selecting one, from
     an (m, 3) draw of curve parameters; the line parameter is integrated
-    exactly (`_line_omega`)."""
-    pos, der = par.eval(_sort_rows(r))
+    exactly (`_line_omega`).  Three points on one straight line, in one slot
+    or in slots that `lines` (`_slot_lines`) puts on one line, give 0, as
+    every tangent and difference is then parallel: such a row is an
+    accepted 0, so that excluding it does not inflate the mean."""
+    seg, s = par.slots(_sort_rows(r))
+    pos, der = par.at(seg, s)
     x1, x2, x3 = pos[:, 0], pos[:, 1], pos[:, 2]
     d1, d2, d3 = der[:, 0], der[:, 1], der[:, 2]
     if which == 2:
@@ -351,19 +557,29 @@ def _tripod(r: np.ndarray, par: _Param, which: int):
         ga, ok1 = _omega_hat(w, d1, d2, par.scale)
         gb, ok2 = _line_omega(x2 - x3, w, d3, par.scale, segment=True)
         # (-1)(dt1^dt2) . (-1)(dt3^dt) , even shuffle
-        return ga * gb / 6.0, ok1 & ok2
-    if which == 3:
+        vals = ga * gb / 6.0
+    elif which == 3:
         w = x2 - x3
         ga, ok1 = _omega_hat(w, d2, d3, par.scale)
         gb, ok2 = _line_omega(x1 - x2, w, d1, par.scale, segment=True)
         # (-1)(dt2^dt3) . (+1)(dt1^dt) , even shuffle
-        return -(ga * gb) / 6.0, ok1 & ok2
-    # which == 4: t ranges over (-inf,0) u (1,inf)
-    w = x3 - x1
-    ga, ok1 = _omega_hat(w, d1, d3, par.scale)
-    gb, ok2 = _line_omega(x1 - x2, w, d2, par.scale, segment=False)
-    # (-1)(dt1^dt3) . (-1)(dt2^dt) , odd shuffle dt1^dt3^dt2^dt
-    return -(ga * gb) / 6.0, ok1 & ok2
+        vals = -(ga * gb) / 6.0
+    else:
+        # which == 4: t ranges over (-inf,0) u (1,inf)
+        w = x3 - x1
+        ga, ok1 = _omega_hat(w, d1, d3, par.scale)
+        gb, ok2 = _line_omega(x1 - x2, w, d2, par.scale, segment=False)
+        # (-1)(dt1^dt3) . (-1)(dt2^dt) , odd shuffle dt1^dt3^dt2^dt
+        vals = -(ga * gb) / 6.0
+    # the rejection test drops most rows on one line (the rest are 0 to
+    # rounding); they become accepted zeros
+    ok = ok1 & ok2
+    bad = np.flatnonzero(~ok)
+    line = lines.take(seg.take(bad, axis=0))
+    fix = bad[(line[:, 0] == line[:, 1]) & (line[:, 1] == line[:, 2])]
+    vals[fix] = 0.0
+    ok[fix] = True
+    return vals, ok
 
 
 def _line_omega(a: np.ndarray, w: np.ndarray, d: np.ndarray, scale: float,
@@ -384,8 +600,7 @@ def _line_omega(a: np.ndarray, w: np.ndarray, d: np.ndarray, scale: float,
     _REJECT_EPS * scale of the origin is rejected (collinear and coincident
     points among them), and its value is 0.
     """
-    (ax, ay, az), (wx, wy, wz), (dx, dy, dz) = (np.moveaxis(v, -1, 0)
-                                                for v in (a, w, d))
+    (ax, ay, az), (wx, wy, wz), (dx, dy, dz) = map(_coords, (a, w, d))
     nx, ny, nz = ay * wz - az * wy, az * wx - ax * wz, ax * wy - ay * wx
     big_d = nx * nx + ny * ny + nz * nz
     big_a = wx * wx + wy * wy + wz * wz
@@ -432,35 +647,43 @@ def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
     if knot.shape != "long":
         raise ValueError("v2_mc needs a long knot")
     _check_long_ends(knot.vertices[0], knot.vertices[-1])
-    # Scaling by a power of two is exact in doubles, and every integrand is
-    # scale-invariant, so a copy of diameter in [0.5, 1) changes no bit of
-    # the simplex stratum; it keeps the tripods' D, a fourth power of
-    # lengths, inside the doubles whatever the knot's size.
-    v = np.array([[float(c) for c in p] for p in knot.vertices])
+    # The first vertex is subtracted exactly, so a knot far from the origin
+    # for its size keeps its shape in doubles.  Scaling by a power of two is
+    # exact in doubles, and every integrand is scale-invariant, so a copy of
+    # diameter in [0.5, 1) changes no bit of the sampled simplex stratum; it
+    # keeps the tripods' D, a fourth power of lengths, inside the doubles
+    # whatever the knot's size.
+    origin = knot.vertices[0]
+    v = np.array([[float(c - o) for c, o in zip(p, origin)]
+                  for p in knot.vertices])
     _, exponent = math.frexp(float(np.linalg.norm(v.max(axis=0)
                                                    - v.min(axis=0))))
-    par = _Param(np.ldexp(v, -exponent), long=True)
+    v = np.ldexp(v, -exponent)
+    par = _Param(v, long=True)
+    exact = _STRATUM_SIGNS[0] * _simplex_exact(v)
+    lines = _slot_lines(knot.vertices)
     accs = [_Accumulator() for _ in range(4)]
     out = []
     cp = sorted(set(checkpoints))
     # the last chunk brings `done` to ceil(samples / 4), so every
     # checkpoint (at most `samples`) is reported inside the loop
     for chunk, m, done in _chunks((samples + 3) // 4):
-        vals, ok = _blocked(_integrand_x, _rng(seed, 1, chunk).random((m, 4)),
-                            par)
-        accs[0].add(_STRATUM_SIGNS[0] * vals, ok)
+        vals, ok = _blocked(_coincident, _rng(seed, 1, chunk), m, 4, par)
+        vals *= _STRATUM_SIGNS[0]
+        accs[0].add(vals, ok)
         for k in (2, 3, 4):
-            vals, ok = _blocked(_tripod, _rng(seed, k, chunk).random((m, 3)),
-                                par, k)
-            accs[k - 1].add(0.5 * _STRATUM_SIGNS[k - 1] * vals, ok)
+            vals, ok = _blocked(_tripod, _rng(seed, k, chunk), m, 3,
+                                par, k, lines)
+            vals *= 0.5 * _STRATUM_SIGNS[k - 1]
+            accs[k - 1].add(vals, ok)
         while cp and done * 4 >= cp[0]:
-            out.append(_combine(accs, seed))
+            out.append(_combine(accs, exact, seed))
             cp.pop(0)
     return out
 
 
-def _combine(accs, seed: int) -> McEstimate:
-    value = sum(a.mean() for a in accs)
+def _combine(accs, exact: float, seed: int) -> McEstimate:
+    value = exact + sum(a.mean() for a in accs)
     err = math.sqrt(sum(min(a.std_error(), 1e18) ** 2 for a in accs))
     return McEstimate(value, err, sum(a.n for a in accs), seed,
                       sum(a.rejected for a in accs))

@@ -11,9 +11,20 @@ The tripod strata integrate their line parameter in closed form
 (`mcint._line_omega`).  Their reference is `_sampled_tripod`, the
 integrand with that parameter sampled, integrated over it by Gauss-Legendre
 quadrature.
+
+The simplex stratum over four distinct slots is a sum of products of Gauss
+integrals I(p, q) of two straight slots (`mcint._gauss_block`), summed in
+O(n^2) (`mcint._simplex_exact`).  I is checked against Gauss-Legendre
+quadrature of `_omega_hat` through `_Param`, the sum against the literal
+sum over all slot quadruples, and Sigma I over the segment pairs of two
+closed loops against their linking number.  The rest of the stratum is
+sampled from `mcint._coincident_points`, whose patterns are checked against
+their measures.
 """
 
+import itertools
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -21,7 +32,7 @@ import numpy as np
 import pytest
 
 from casson import mcint
-from casson.mcint import v2_mc
+from casson.mcint import lk_combinatorial, v2_mc
 from casson.plane import PolyKnot, polyknot_from_braid
 
 KNOTS = ([1, 1, 1], [1, -2, 1, -2], [1] * 7)
@@ -106,21 +117,24 @@ def test_sorting_network_matches_np_sort():
 _ROWS = (1, mcint.BLOCK - 1, mcint.BLOCK, mcint.BLOCK + 1, mcint.CHUNK)
 
 
-def _same_blocked_and_whole(integrand, draw, *args):
-    vals, ok = mcint._blocked(integrand, draw, *args)
-    want_vals, want_ok = integrand(draw, *args)
-    assert vals.shape == ok.shape == (len(draw),)
+def _same_blocked_and_whole(integrand, key, shape, *args):
+    # _blocked draws block by block from the generator keyed by `key`; the
+    # whole draw is that generator's one (rows, cols) draw
+    vals, ok = mcint._blocked(integrand, mcint._rng(*key), *shape, *args)
+    want_vals, want_ok = integrand(mcint._rng(*key).random(shape), *args)
+    assert vals.shape == ok.shape == (shape[0],)
     assert np.array_equal(vals, want_vals) and np.array_equal(ok, want_ok)
 
 
 def test_strata_blocked_match_whole_draw():
-    par = mcint._Param(polyknot_from_braid([1, 1, 1]).vertices, long=True)
+    knot = polyknot_from_braid([1, 1, 1])
+    par = mcint._Param(knot.vertices, long=True)
+    lines = mcint._slot_lines(knot.vertices)
     for m in _ROWS:
-        _same_blocked_and_whole(mcint._integrand_x,
-                                mcint._rng(0, 1, 0).random((m, 4)), par)
+        _same_blocked_and_whole(mcint._coincident, (0, 1, 0), (m, 4), par)
         for k in (2, 3, 4):
-            _same_blocked_and_whole(mcint._tripod,
-                                    mcint._rng(0, k, 0).random((m, 3)), par, k)
+            _same_blocked_and_whole(mcint._tripod, (0, k, 0), (m, 3), par, k,
+                                    lines)
 
 
 def test_linking_blocked_matches_whole_draw():
@@ -129,8 +143,7 @@ def test_linking_blocked_matches_whole_draw():
     par_a = mcint._Param(loop_a, long=False)
     par_b = mcint._Param(loop_b, long=False)
     for m in _ROWS:
-        _same_blocked_and_whole(mcint._linking,
-                                mcint._rng(1, 0, 0).random((m, 2)),
+        _same_blocked_and_whole(mcint._linking, (1, 0, 0), (m, 2),
                                 par_a, par_b)
 
 
@@ -184,10 +197,12 @@ def _quadrature(t, par, which, nodes):
 def test_tripods_match_quadrature_over_the_line(word):
     # a row is well conditioned when the quadrature has converged on it:
     # 64 and 128 nodes agree to 1e-12
-    par = mcint._Param(polyknot_from_braid(word).vertices, long=True)
+    knot = polyknot_from_braid(word)
+    par = mcint._Param(knot.vertices, long=True)
+    lines = mcint._slot_lines(knot.vertices)
     for which in (2, 3, 4):
         t = mcint._rng(0, which, 0).random((1000, 3))
-        got, ok = mcint._tripod(t, par, which)
+        got, ok = mcint._tripod(t, par, which, lines)
         coarse, _ = _quadrature(t, par, which, 64)
         fine, fine_ok = _quadrature(t, par, which, 128)
         good = ok & fine_ok & (np.abs(coarse - fine) <= 1e-12 * np.abs(fine))
@@ -196,20 +211,185 @@ def test_tripods_match_quadrature_over_the_line(word):
 
 
 def test_collinear_and_coincident_tripods_are_rejected():
-    par = mcint._Param(polyknot_from_braid([1, 1, 1]).vertices, long=True)
+    # three points on one straight line give 0, and are accepted as zeros:
+    # in one edge or tail, or on the two tails, which share the y axis;
+    # repeated points in distinct slots off one line stay rejected
+    knot = polyknot_from_braid([1, 1, 1])
+    par = mcint._Param(knot.vertices, long=True)
+    lines = mcint._slot_lines(knot.vertices)
     n = par.start.shape[1]
     slots = np.arange(n)[:, None]
-    # three points on one straight edge or tail, then repeated points
-    collinear = (slots + np.array([0.2, 0.5, 0.7])) / n
-    t = np.random.default_rng(9).random((200, 1))
-    coincident = np.concatenate((np.hstack((t, t, t[::-1])),
-                                 np.hstack((t, t[::-1], t[::-1])),
-                                 np.hstack((t, t, t))))
-    for rows in (collinear, coincident):
+    one_slot = (slots + np.array([0.2, 0.5, 0.7])) / n
+    tails = np.array([[0.1, 0.5, n - 0.5], [0.5, n - 0.7, n - 0.2]]) / n
+    for rows in (one_slot, tails):
         for which in (2, 3, 4):
             with np.errstate(all="raise"):
-                vals, ok = mcint._tripod(rows, par, which)
-            assert np.all(np.isfinite(vals)) and not ok.any()
+                vals, ok = mcint._tripod(rows, par, which, lines)
+            assert ok.all() and np.all(vals == 0.0)
+    t = np.random.default_rng(9).random((200, 1))
+    coincident = np.concatenate((np.hstack((t, t, t[::-1])),
+                                 np.hstack((t, t[::-1], t[::-1]))))
+    seg, _ = par.slots(np.sort(coincident, axis=1))
+    line = lines[seg]
+    off_line = (line[:, 0] != line[:, 1]) | (line[:, 1] != line[:, 2])
+    assert off_line.mean() > 0.9
+    for which in (2, 3, 4):
+        with np.errstate(all="raise"):
+            vals, ok = mcint._tripod(coincident, par, which, lines)
+        assert np.all(np.isfinite(vals)) and not ok[off_line].any()
+        assert np.all(vals[~off_line] == 0.0) and ok[~off_line].all()
+
+
+def test_slot_lines():
+    # the tails share the y axis; 3_1's slots 10 and 14 are x = 1, z = 0
+    # pieces, and 4_1 has two consecutive edges on one line
+    lines = mcint._slot_lines(polyknot_from_braid([1, 1, 1]).vertices)
+    assert lines[0] == lines[-1] and lines[10] == lines[14]
+    assert len(set(lines.tolist())) == len(lines) - 2
+    lines = mcint._slot_lines(polyknot_from_braid([1, -2, 1, -2]).vertices)
+    assert lines[3] == lines[4]
+    # a vertex on the axis between the tails, a repeated vertex, and a
+    # reversed edge
+    verts = ((0, 0, 0), (0, Fraction(1, 3), 0), (1, 1, 0), (1, 1, 0),
+             (2, 2, 0), (0, 0, 0), (0, 5, 0))
+    lines = mcint._slot_lines(PolyKnot(verts, "long").vertices)
+    assert lines.tolist() == [0, 0, 1, 2, 3, 3, 0, 0]
+
+
+# -- the simplex stratum: the distinct slots in closed form ---------------------
+
+def _slot_ends(knot):
+    v = np.array([[float(c) for c in p] for p in knot.vertices])
+    return np.concatenate((v[:1], v)), np.concatenate((v, v[-1:]))
+
+
+def _quadrature_gauss(par, p, q, nodes):
+    """Gauss-Legendre quadrature of I(p, q) over the two slots, through
+    _Param.eval, its tails' projective stretch included."""
+    n = par.start.shape[1]
+    x, weights = np.polynomial.legendre.leggauss(nodes)
+    u = (x + 1.0) / 2.0
+    pos_p, der_p = par.eval((p + u) / n)
+    pos_q, der_q = par.eval((q + u) / n)
+    shape = (nodes, nodes, 3)
+    vals, ok = mcint._omega_hat(pos_p[:, None] - pos_q[None],
+                                np.broadcast_to(der_p[:, None], shape),
+                                np.broadcast_to(der_q[None], shape), 1.0)
+    assert ok.all()
+    return weights @ vals @ weights / (4 * n * n)
+
+
+@pytest.mark.parametrize("word", KNOTS[:2], ids=["3_1", "4_1"])
+def test_gauss_integral_matches_quadrature(word):
+    knot = polyknot_from_braid(word)
+    par = mcint._Param(knot.vertices, long=True)
+    lo, hi = _slot_ends(knot)
+    n = len(lo)
+    got = mcint._gauss_block(lo, hi, n, 0, n)
+    assert got[0, n - 1] == 0.0
+    checked = 0
+    for p in range(n):
+        for q in range(p + 2, n):
+            fine = _quadrature_gauss(par, p, q, 48)
+            # a pair is well conditioned when the quadrature has converged
+            # on it: 32 and 48 nodes agree to 1e-12
+            if abs(fine - _quadrature_gauss(par, p, q, 32)) > 1e-12:
+                continue
+            checked += 1
+            assert abs(got[p, q] - fine) <= 1e-13, (p, q)
+    assert checked > 0.95 * (n - 1) * (n - 2) / 2
+    assert np.all(np.tril(got, 1) == 0.0)
+
+
+@pytest.mark.parametrize("word", KNOTS, ids=["3_1", "4_1", "T7_2"])
+def test_simplex_sum_matches_all_quadruples(monkeypatch, word):
+    knot = polyknot_from_braid(word)
+    lo, hi = _slot_ends(knot)
+    n = len(lo)
+    gauss = mcint._gauss_block(lo, hi, n, 0, n)
+    want = sum(gauss[a, c] * gauss[b, d]
+               for a, b, c, d in itertools.combinations(range(n), 4))
+    v = lo[1:]
+    assert abs(mcint._simplex_exact(v) - want) <= 1e-12
+    # blocks of one column, of a few, and of part of the columns
+    for block in (1, 3 * n, 20 * n):
+        monkeypatch.setattr(mcint, "PAIR_BLOCK", block)
+        assert abs(mcint._simplex_exact(v) - want) <= 1e-12
+
+
+def _loop_gauss_sum(loop1, loop2):
+    """Sigma I(p, q) over the edges p of loop1 and q of loop2."""
+    p0, q0 = (np.array(loop, dtype=float) for loop in (loop1, loop2))
+    p1, q1 = np.roll(p0, -1, axis=0), np.roll(q0, -1, axis=0)
+    corners = [[x[:, None, k] - y[None, :, k] for k in range(3)]
+               for x, y in ((p0, q0), (p1, q0), (p1, q1), (p0, q1))]
+    return float(mcint._gauss(*corners).sum())
+
+
+def test_gauss_sum_is_the_linking_number():
+    # the deterministic twin of linking_mc
+    hopf_a = [(1, -1, 0), (1, 1, 0), (-1, 1, 0), (-1, -1, 0)]
+    pairs = [(hopf_a, [(0, -0.3, -1), (2, -0.3, -1), (2, 0.3, 1),
+                       (0, 0.3, 1)])]
+    # the loops of test_mcint.py's test_random_two_component_calibration
+    rng = random.Random(5)
+    for _ in range(5):
+        w = rng.choice((1, -1))
+        tilt = rng.uniform(0.1, 0.4)
+        b = [(0, -tilt, -1), (2, -tilt, -1), (2, tilt, 1), (0, tilt, 1)]
+        pairs.append((hopf_a, b if w > 0 else b[::-1]))
+    seen = set()
+    for a, b in pairs:
+        lk = lk_combinatorial(a, b)
+        seen.add(lk)
+        assert abs(_loop_gauss_sum(a, b) - lk) <= 1e-9
+        assert abs(_loop_gauss_sum(b, a) - lk) <= 1e-9
+    assert seen == {-1, 1}
+
+
+def test_coincident_patterns_match_their_measures():
+    # slot patterns of the sorted draw: which consecutive points share a slot
+    n, m = 5, 400_000
+    t = mcint._coincident_points(mcint._rng(3, 1, 0).random((m, 4)), n)
+    seg = np.floor(t).astype(int)
+    assert np.all(np.diff(t, axis=1) >= 0) and seg.min() >= 0
+    assert seg.max() < n
+    tied = np.diff(seg, axis=1) == 0
+    pattern = tied @ np.array([1, 2, 4])
+    # x=x<y<z, x<y=y<z, x<y<z=z and x=x<y=y, weighted by their measures
+    measure = {1: 2 * n * (n - 1) * (n - 2), 2: 2 * n * (n - 1) * (n - 2),
+               4: 2 * n * (n - 1) * (n - 2), 5: 3 * n * (n - 1)}
+    total = sum(measure.values())
+    assert set(np.unique(pattern)) == set(measure)
+    for key, weight in measure.items():
+        p = weight / total
+        count = np.count_nonzero(pattern == key)
+        assert abs(count - m * p) <= 5 * math.sqrt(m * p * (1 - p))
+    # every slot tuple of a pattern equally often: chi-square over the 40
+    # tuples against their expected counts, P(chi2_39 > 80) ~ 1e-4
+    tuples, counts = np.unique(seg, axis=0, return_counts=True)
+    expected = np.array([m * measure[int(k)] / total
+                         / (math.comb(n, 3) if k != 5 else math.comb(n, 2))
+                         for k in (np.diff(tuples, axis=1) == 0)
+                         @ np.array([1, 2, 4])])
+    assert len(tuples) == 3 * math.comb(n, 3) + math.comb(n, 2)
+    assert ((counts - expected) ** 2 / expected).sum() < 80
+    # offsets: uniform in a slot of its own, the order statistics of two
+    # uniforms in a shared one
+    off = t - seg
+    first = pattern == 1
+    for k, mean in enumerate((1 / 3, 2 / 3, 1 / 2, 1 / 2)):
+        col = off[first, k]
+        assert abs(col.mean() - mean) <= 5 * col.std() / math.sqrt(col.size)
+
+
+def test_far_from_origin_knot_keeps_its_shape():
+    knot = polyknot_from_braid([1, 1, 1])
+    want = v2_mc(knot, 40_000, seed=1)
+    for shift in (10 ** 14, 10 ** 20):
+        moved = PolyKnot(tuple((x, y + shift, z) for x, y, z in knot.vertices),
+                         "long")
+        assert v2_mc(moved, 40_000, seed=1) == want
 
 
 @pytest.mark.parametrize("exponent", [100, -60])

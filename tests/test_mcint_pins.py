@@ -26,41 +26,41 @@ COUNTS = (1, 5, 40001, 70001, 140001)
 # (value, std_error, samples, rejected) at each of COUNTS
 V2_MC_SEED7 = {
     "3_1": [
-        (1.3332606776919576, 2e+18, 4, 0),
-        (-2.331926509457098, 1.967790436948722, 8, 0),
-        (0.6810671887017219, 0.163163932352256, 39931, 73),
-        (0.80501913906888, 0.11611293550007432, 69868, 136),
-        (1.009867264636971, 0.0810461084198669, 139769, 235),
+        (1.2828586292997943, 2e+18, 4, 0),
+        (-1.8510882285859969, 1.9155295294153767, 8, 0),
+        (0.9410002155793439, 0.08454253838796681, 40003, 1),
+        (0.9355276557307559, 0.062155544648590105, 70003, 1),
+        (0.9574605252681483, 0.04057921908136547, 140003, 1),
     ],
     "4_1": [
-        (-4.3143914592365995, 2e+18, 4, 0),
-        (-1.8875237434583032, 1.531604281640495, 8, 0),
-        (-0.4100216050075994, 1.0923087048078077, 39921, 83),
-        (-0.7784096380613861, 0.6730111188446507, 69843, 161),
-        (-1.3287833732082228, 0.42527967919635373, 139701, 303),
+        (-5.3224428329746285, 2e+18, 4, 0),
+        (-2.895575117196332, 1.531604281640495, 8, 0),
+        (-0.9464326316732515, 0.23497747045512996, 40004, 0),
+        (-1.0192017842078067, 0.16269103302359803, 70004, 0),
+        (-0.9931242208542378, 0.11067658653062924, 140004, 0),
     ],
     "T7_2": [
-        (-10.00380263968931, 2e+18, 4, 0),
-        (-2.1330172322523286, 4.867136468543567, 8, 0),
-        (8.039565385893503, 1.717773938967338, 39991, 13),
-        (6.563851137617592, 1.1536922016735354, 69983, 21),
-        (5.980872087087107, 0.9571969553824546, 139956, 48),
+        (7.73045623448434, 2e+18, 4, 0),
+        (8.137629414127806, 1.1146140735497345, 8, 0),
+        (6.1240131948043075, 0.3397600369105123, 40004, 0),
+        (5.8903727878722805, 0.2855951284356016, 70004, 0),
+        (5.849468319093602, 0.2523523868840094, 140004, 0),
     ],
 }
 V2_MC_SERIES_SEED3 = {
     "3_1": [
-        (0.9191997310958706, 0.07404119942366744, 130823, 249),
-        (0.9191997310958706, 0.07404119942366744, 130823, 249),
-        (0.9191997310958706, 0.07404119942366744, 130823, 249),
-        (0.9191997310958706, 0.07404119942366744, 130823, 249),
-        (0.9394921473566862, 0.07273616269216401, 139738, 266),
+        (1.0192197511209917, 0.03702406049976157, 131072, 0),
+        (1.0192197511209917, 0.03702406049976157, 131072, 0),
+        (1.0192197511209917, 0.03702406049976157, 131072, 0),
+        (1.0192197511209917, 0.03702406049976157, 131072, 0),
+        (1.003598683932434, 0.03635025963819824, 140004, 0),
     ],
     "4_1": [
-        (-1.1069100001883954, 0.2618755143737009, 130789, 283),
-        (-1.1069100001883954, 0.2618755143737009, 130789, 283),
-        (-1.1069100001883954, 0.2618755143737009, 130789, 283),
-        (-1.1069100001883954, 0.2618755143737009, 130789, 283),
-        (-1.1229953100372678, 0.2525598032698324, 139701, 303),
+        (-0.9873869331219227, 0.11509950374899665, 131072, 0),
+        (-0.9873869331219227, 0.11509950374899665, 131072, 0),
+        (-0.9873869331219227, 0.11509950374899665, 131072, 0),
+        (-0.9873869331219227, 0.11509950374899665, 131072, 0),
+        (-0.9818463233504251, 0.11007223780480746, 140004, 0),
     ],
 }
 LINKING_MC_SEED11 = [
