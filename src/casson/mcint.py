@@ -184,9 +184,13 @@ class _Param:
 
     def slots(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(slot, offset in the slot) of each parameter t in (0,1)."""
-        n = self.start.shape[1]
-        x = t * n
-        seg = np.minimum(x.astype(int), n - 1)
+        return self.split(t * self.start.shape[1])
+
+    def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slot, offset in the slot) of each x in [0, n], in slot units;
+        a point at the top of slot n - 1, which t * n may round up to n,
+        stays in it."""
+        seg = np.minimum(x.astype(int), self.start.shape[1] - 1)
         return seg, x - seg
 
     def eval(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,8 +219,7 @@ class _Param:
             s1 = np.minimum(s.take(hi), 1.0 - 1e-12)
             y[hi] = self.start[1, -1] + L * s1 / (1.0 - s1)
             dy[hi] = L / (1.0 - s1) ** 2 * n
-        axes = (*range(1, pos.ndim), 0)
-        return pos.transpose(axes), deriv.transpose(axes)
+        return np.moveaxis(pos, 0, -1), np.moveaxis(deriv, 0, -1)
 
 
 def _chunks(samples: int):
@@ -489,10 +492,7 @@ def _coincident(r: np.ndarray, par: _Param):
     A row is weighted by the four patterns' measure,
     P = 3(n-1)(2n-3) / n^3."""
     n = par.start.shape[1]
-    t = _coincident_points(r, n)
-    # a point at the top of slot n - 1 may round up to n
-    seg = np.minimum(t.astype(np.intp), n - 1)
-    pos, der = par.at(seg, t - seg)
+    pos, der = par.at(*par.split(_coincident_points(r, n)))
     g13, ok1 = _omega_hat(pos[:, 0] - pos[:, 2], der[:, 0], der[:, 2],
                           par.scale)
     g42, ok2 = _omega_hat(pos[:, 3] - pos[:, 1], der[:, 1], der[:, 3],

@@ -212,8 +212,10 @@ def test_tripods_match_quadrature_over_the_line(word):
 
 def test_collinear_and_coincident_tripods_are_rejected():
     # three points on one straight line give 0, and are accepted as zeros:
-    # in one edge or tail, or on the two tails, which share the y axis;
-    # repeated points in distinct slots off one line stay rejected
+    # in one edge or tail, or on the two tails, which share the y axis, or
+    # all three at one point, where the line has no direction (w = 0 and
+    # r0 = r1 = 0 in _line_omega); repeated points in distinct slots off
+    # one line stay rejected
     knot = polyknot_from_braid([1, 1, 1])
     par = mcint._Param(knot.vertices, long=True)
     lines = mcint._slot_lines(knot.vertices)
@@ -221,12 +223,13 @@ def test_collinear_and_coincident_tripods_are_rejected():
     slots = np.arange(n)[:, None]
     one_slot = (slots + np.array([0.2, 0.5, 0.7])) / n
     tails = np.array([[0.1, 0.5, n - 0.5], [0.5, n - 0.7, n - 0.2]]) / n
-    for rows in (one_slot, tails):
+    t = np.random.default_rng(9).random((200, 1))
+    one_point = np.hstack((t, t, t))
+    for rows in (one_slot, tails, one_point):
         for which in (2, 3, 4):
             with np.errstate(all="raise"):
                 vals, ok = mcint._tripod(rows, par, which, lines)
             assert ok.all() and np.all(vals == 0.0)
-    t = np.random.default_rng(9).random((200, 1))
     coincident = np.concatenate((np.hstack((t, t, t[::-1])),
                                  np.hstack((t, t[::-1], t[::-1]))))
     seg, _ = par.slots(np.sort(coincident, axis=1))
