@@ -278,8 +278,13 @@ def linking_mc(loop1, loop2, samples: int, seed: int = 0) -> McEstimate:
     crossing count of lk_combinatorial.
     """
     _check_samples(samples)
-    par1 = _Param(_vertices_of(loop1), long=False)
-    par2 = _Param(_vertices_of(loop2), long=False)
+    v1, v2 = list(_vertices_of(loop1)), list(_vertices_of(loop2))
+    if not v1 or not v2:
+        raise ValueError("a linking loop needs at least one vertex")
+    # one vertex of the first loop is subtracted exactly from both, as in
+    # v2_mc, so loops far from the origin for their size keep their shape
+    par1 = _Param(_offsets(v1, v1[0]), long=False)
+    par2 = _Param(_offsets(v2, v1[0]), long=False)
     acc = _Accumulator()
     for chunk, m, _ in _chunks(samples):
         acc.add(*_blocked(_linking, _rng(seed, 0, chunk), m, 2,
@@ -293,6 +298,13 @@ def _linking(u: np.ndarray, par1: _Param, par2: _Param):
     p1, d1 = par1.eval(u[:, 0])
     p2, d2 = par2.eval(u[:, 1])
     return _omega_hat(p1 - p2, d1, d2, max(par1.scale, par2.scale))
+
+
+def _offsets(vertices, origin) -> np.ndarray:
+    """Each vertex minus `origin`, the difference taken before the
+    conversion to doubles, so it is exact for exact coordinates."""
+    return np.array([[float(c - o) for c, o in zip(p, origin, strict=True)]
+                     for p in vertices])
 
 
 def _vertices_of(loop):
@@ -653,9 +665,7 @@ def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
     # diameter in [0.5, 1) changes no bit of the sampled simplex stratum; it
     # keeps the tripods' D, a fourth power of lengths, inside the doubles
     # whatever the knot's size.
-    origin = knot.vertices[0]
-    v = np.array([[float(c - o) for c, o in zip(p, origin)]
-                  for p in knot.vertices])
+    v = _offsets(knot.vertices, knot.vertices[0])
     _, exponent = math.frexp(float(np.linalg.norm(v.max(axis=0)
                                                    - v.min(axis=0))))
     v = np.ldexp(v, -exponent)

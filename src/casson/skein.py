@@ -6,12 +6,18 @@ contributes sign * lk of the two-component smoothing, evaluated on the
 diagram state at switch time.  The walk ends on a descending diagram, which
 represents the unknot, so the accumulated total is v2.
 
-One O(n) scan of the state, a copy of the diagram's tail, head and sign
-arrays flipped in place, counts the linking number of a smoothing two
-ways: half the signed crossings between its two components, and the
-closed-form count of those whose heads lie after the switched chord's
-tail.  They must agree, or `NotDescendingRealizable` is
-raised: the input was not realizable.  The descent is O(n^2) for n chords.
+Every switch counts the linking number of its smoothing two ways: half
+the signed crossings between its two components, and the signed count of
+those whose heads lie after the switched chord's tail.  They must agree,
+or `NotDescendingRealizable` is raised: the input was not realizable.
+
+Each count is one scan of every chord in the state its switch sees, done
+on Python-int bitsets indexed by chord, 64 chords to a machine word: the
+walk keeps the parity of the endpoints passed so far and the tails passed
+so far, stores the parity mask at each switched chord's head, and reads
+both counts off three masks at its tail (`_flip_counts`).  The descent
+takes O(n^2 / 64) word operations for n chords, and keeps one n-bit mask
+per switch whose tail the walk has not reached yet.
 """
 
 from __future__ import annotations
@@ -46,47 +52,71 @@ class FlipTrace:
         }
 
 
-def _interlock_scan(tail, head, sign, c: int) -> tuple[int, int]:
-    """(crossings, lk) of the smoothing at chord index c, on endpoint
-    indices: the signed count of chords interlocked with c, and the part of
-    that count whose heads lie after c's tail."""
-    tc = tail[c]
-    lo, hi = min(tc, head[c]), max(tc, head[c])
-    crossings = lk = 0
-    for t, h, s in zip(tail, head, sign):
-        if (lo < t < hi) != (lo < h < hi):
-            crossings += s
-            if h > tc:
-                lk += s
-    return crossings, lk
+def _flip_counts(e_head: int, e_tail: int, tails: int, pos: int,
+                 switched: int) -> tuple[int, int]:
+    """(crossings, lk) of the smoothing at a switched chord: one scan of
+    every chord in the state its switch sees, on bitsets indexed by chord.
+
+    The chord's head comes before its tail.  `e_head` and `e_tail` hold
+    the chords with an odd number of endpoints up to the head and before
+    the tail, `tails` those with their tail before the tail, `pos` those
+    of sign +1 in the input, and `switched` those switched before the walk
+    reached the tail.  A chord with exactly one endpoint strictly between
+    head and tail is in `x`.  If it is not in `e_tail`, its other endpoint
+    lies before the head, and its sign is flipped iff it is in `switched`.
+    If it is in `e_tail`, its other endpoint lies after the tail, it is
+    not switched yet, and it counts toward lk iff that endpoint is its
+    head, that is, iff it is in `tails`.
+    """
+    x = e_head ^ e_tail
+    pos ^= switched & ~e_tail
+    lk_set = x & e_tail & tails
+    return (2 * (x & pos).bit_count() - x.bit_count(),
+            2 * (lk_set & pos).bit_count() - lk_set.bit_count())
 
 
 def descend(diagram: GaussDiagram) -> FlipTrace:
     """Switch first-met-at-head crossings until the diagram is descending.
 
-    The state is kept as tail, head and sign lists on endpoint indices and
-    flipped in place; the final diagram is built once at the end, by
-    `GaussDiagram.from_endpoint_order` from the flipped lists.  The walk
-    meets each chord's lower endpoint once and flips the chord when that
-    endpoint is its head, so every chord of the final diagram is
-    tail-first.
+    The walk meets each chord's lower endpoint once and switches the chord
+    when that endpoint is its head, so the switched chords are the
+    head-first ones, in the order of their heads, and every chord of the
+    final diagram is tail-first.  One walk computes each switch's counts at
+    its tail; a second, over the switches in circle order, checks them and
+    raises at the first whose counts disagree.  The final diagram is built
+    once, by `GaussDiagram.from_endpoint_order`.
     """
-    tail, head, sign = map(list, (diagram.tail, diagram.head, diagram.sign))
+    tail, head, sign, at = diagram.tail, diagram.head, diagram.sign, diagram.at
+    ids = diagram.ids
+    digits = "".join(["1" if s > 0 else "0" for s in reversed(sign)])
+    pos = int(digits or "0", 2)   # the chords of sign +1
+    # switched chord -> the parity mask at its head, then its counts;
+    # insertion keeps the heads' circle order
+    counts = {}
+    parity = tails = switched = 0
+    for p, c in enumerate(at):
+        bit, t = 1 << c, tail[c]
+        if p == t:
+            if c in counts:
+                counts[c] = _flip_counts(counts[c], parity, tails, pos,
+                                         switched)
+            tails |= bit
+        parity ^= bit
+        if p < t:
+            counts[c] = parity
+            switched |= bit
     flips = []
-    for p, c in enumerate(diagram.at):
-        if head[c] != p or tail[c] < p:
-            continue
-        crossings, lk = _interlock_scan(tail, head, sign, c)
+    signs = dict(zip(ids, sign))
+    for c, (crossings, lk) in counts.items():
         if crossings != 2 * lk:
             raise NotDescendingRealizable(
-                f"lk mismatch at chord {diagram.ids[c]}: count {lk} "
+                f"lk mismatch at chord {ids[c]}: count {lk} "
                 f"vs smoothing {Fraction(crossings, 2)}")
-        flips.append((diagram.ids[c], sign[c], lk))
-        tail[c], head[c], sign[c] = head[c], tail[c], -sign[c]
-    ids = diagram.ids
+        flips.append((ids[c], sign[c], lk))
+        signs[ids[c]] = -sign[c]
     final = GaussDiagram.from_endpoint_order(
-        [(ids[c], "T" if tail[c] == p else "H") for p, c in enumerate(diagram.at)],
-        dict(zip(ids, sign)))
+        [(ids[c], "T" if p < tail[c] or p < head[c] else "H")
+         for p, c in enumerate(at)], signs)
     return FlipTrace(tuple(flips), final)
 
 

@@ -35,6 +35,21 @@ def test_linking_converges_to_hopf():
     assert est.std_error < 0.02
 
 
+def test_linking_far_from_the_origin():
+    # the Hopf pair moved 1e16 along y, in exact coordinates (the float sum
+    # 0.3 + 1e16 is already flat before linking_mc sees it): the vertex
+    # subtracted before the conversion to doubles leaves the same doubles
+    def moved(loop):
+        return [(Fraction(x), Fraction(y) + 10 ** 16, Fraction(z))
+                for x, y, z in loop]
+
+    a, b = moved(HOPF_A), moved(HOPF_B)
+    assert lk_combinatorial(a, b) == -1
+    est = linking_mc(a, b, 200_000, seed=1)
+    assert est.within(-1) and est.std_error < 0.02
+    assert est == linking_mc(HOPF_A, HOPF_B, 200_000, seed=1)
+
+
 def test_linking_unlink_near_zero():
     far = [(10, 0, 10), (12, 0, 10), (12, 0.3, 12), (10, 0.3, 12)]
     est = linking_mc(HOPF_A, far, 50_000, seed=2)
