@@ -81,10 +81,11 @@ MAX_SAMPLES = 10**9
 # scaled by a power of two to a diameter in [0.5, 1), which is exact in
 # doubles, so the kernel sees a normalised knot: its tails reach 1e12 past
 # the ends, with derivatives up to 1e24 times the slot count, and the
-# tripod strata integrate their line in closed form, so no line point is
-# sampled further out.  The bounds were worked out when the kernel saw the
-# knot at its own size D (distances up to about 2e21 D, whose cubes had to
-# stay normal doubles for D from 2.8e-97 to 2.8e81).  They still hold; a
+# tripod stratum integrates its third point and line in closed form, so no
+# point is sampled further out (a tail's end at infinity is a point 1e30
+# out).  The bounds were worked out when the kernel saw the knot at its own
+# size D (distances up to about 2e21 D, whose cubes had to stay normal
+# doubles for D from 2.8e-97 to 2.8e81).  They still hold; a
 # wider range would need its own measured worst case.  A coordinate over
 # MAX_EXTENT is refused too: it may not even convert to a double.
 MIN_EXTENT, MAX_EXTENT = 1e-90, 1e80

@@ -10,10 +10,9 @@ which integrates to 1 over the unit sphere:
   * linking_mc: the Gauss linking integral of two disjoint closed polygons,
     converging to the integer linking number.
 
-  * v2_mc: v2 of a long polygonal knot as a sum of four integrals -- one
-    over the 4-point simplex 0 < t1 < t2 < t3 < t4 < 1 and three
-    half-weighted integrals over 3-point configurations with an auxiliary
-    line parameter (the tripod strata).
+  * v2_mc: v2 of a long polygonal knot as a sum of two integrals -- one
+    over the 4-point simplex 0 < t1 < t2 < t3 < t4 < 1 and one over 3-point
+    configurations with an auxiliary line parameter (the tripods).
 
 What has a closed form is computed in closed form, and only the rest is
 sampled.  The simplex stratum is split by the parameter slots (edges and
@@ -23,14 +22,15 @@ where I(p, q) is the Gauss integral of two straight slots, a signed solid
 angle over 4 pi (`_gauss`); it is summed once per estimate in O(n^2) for n
 slots (`_simplex_exact`).  The rest, the tuples with two points in one
 slot, is sampled, and only where the integrand can be nonzero
-(`_coincident_points`).  In the tripod strata the line parameter is
-integrated in closed form (`_line_omega`), over (0,1) in strata 2 and 3
-and over the rest of the real line in stratum 4, so a tripod sample draws
-only its three curve parameters.  Both are conditional Monte Carlo: the
-mean is the same, and the variance can only be lower than with those
-parts sampled.  v2_mc samples a power-of-two copy of the knot, translated
-by its first vertex (exactly) and of diameter in [0.5, 1), which every
-integrand, being translation- and scale-invariant, gives the same value.
+(`_coincident_points`).  A tripod row draws a pair of curve points and one
+slot for the third point; that point and the line parameter integrate to a
+Gauss integral of a straight piece of the pair's line against the slot
+(`_tripods`), at most 1 in size.  Both are conditional Monte Carlo: the
+mean is the same, and the variance can only be lower than with those parts
+sampled.  v2_mc samples a power-of-two copy of the knot, translated by its
+first vertex (exactly) and of diameter in [0.5, 1), which every integrand,
+being translation- and scale-invariant, gives the same value; in that copy
+a tail's end at infinity is a point FAR away (`_slot_ends`).
 
 The two estimators sample their curves through one parametrization of a
 polygon, closed or long, one equal parameter slot per edge (`_Param`).  The
@@ -43,14 +43,12 @@ Both estimators are deterministic for a fixed (seed, samples) pair: samples
 are drawn in fixed-size chunks from counter-based generators keyed by
 (seed, stream, chunk index) and reduced in chunk order, so the result is
 independent of scheduling and bit-for-bit reproducible.  linking_mc reads
-stream 0; v2_mc's stratum k reads stream k (1 the simplex integral's
-coincident slots, four columns a row; 2-4 the three 3-point integrals,
-three columns a row).  Samples that fall within a small relative distance
-of a singular (coincident-point) configuration are rejected and excluded
-from both the numerator and the sample count, with the rejection count
-reported; so are tripod samples whose line passes that close to the
-origin, except those with their three points on one straight line, where
-the integrand is 0: they are accepted zeros.
+stream 0; v2_mc reads stream 1 for the simplex integral's coincident
+slots, four columns a row, and streams 2-4 for the tripods, three columns
+a row, all into one mean.  Samples that fall within a small relative
+distance of a singular (coincident-point) configuration are rejected and
+excluded from both the numerator and the sample count, with the rejection
+count reported.
 
 A chunk's draw is drawn and evaluated in BLOCK-row blocks (`_blocked`),
 whose values and masks are joined back into one chunk-long array before it
@@ -242,21 +240,15 @@ def _blocked(integrand, rng: np.random.Generator, rows: int, cols: int,
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-# Comparator pairs that sort three and four columns.
-_NETWORKS = {3: ((0, 1), (1, 2), (0, 1)),
-             4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
-
-
-def _sort_rows(t: np.ndarray) -> np.ndarray:
-    """t's rows sorted ascending, by a min/max sorting network over its
-    columns: min and max each return one of their inputs, so the values are
-    np.sort(t, axis=1)'s."""
-    return _sort_columns(list(t.T))
+# Comparator pairs that sort four columns.
+_NETWORK = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))
 
 
 def _sort_columns(cols: list) -> np.ndarray:
-    """The (m, k) array of the k columns' rows, each sorted ascending."""
-    for i, j in _NETWORKS[len(cols)]:
+    """The (m, 4) array of the four columns' rows, each sorted ascending,
+    by a min/max sorting network: min and max each return one of their
+    inputs, so the values are np.sort's."""
+    for i, j in _NETWORK:
         cols[i], cols[j] = (np.minimum(cols[i], cols[j]),
                             np.maximum(cols[i], cols[j]))
     return np.stack(cols, axis=1)
@@ -369,13 +361,18 @@ def _lk_projected(a, b, shear: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the four v2 integrals
-#
-# Each stratum is oriented by its natural parameter coordinates
-# (t1, t2, t3[, t4 | t]); the signs below carry the wedge-reordering factors
-# of the pulled-back forms plus the per-stratum orientation of the glued
-# configuration space, the latter pinned by calibration against the
-# combinatorial v2 of the trefoil and figure-eight fixtures.
+# the v2 integrals
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _triple(u, v, w):
+    """u . (v x w), of three coordinate triples."""
+    return (u[0] * (v[1] * w[2] - v[2] * w[1])
+            + u[1] * (v[2] * w[0] - v[0] * w[2])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
 
 def _gauss(a, b, c, d) -> np.ndarray:
     """I(p, q), the integral of omega_hat(x(t) - y(s))(x'(t), y'(s)) over t
@@ -392,42 +389,38 @@ def _gauss(a, b, c, d) -> np.ndarray:
     (d1 + i n1)(d2 + i n2).  Both ratios are unchanged when one corner is
     scaled, so a corner at infinity may be given as its direction.
     """
-    def dot(u, v):
-        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-    def triple(u, v, w):
-        return (u[0] * (v[1] * w[2] - v[2] * w[1])
-                + u[1] * (v[2] * w[0] - v[0] * w[2])
-                + u[2] * (v[0] * w[1] - v[1] * w[0]))
-
-    ra, rb, rc, rd = (np.sqrt(dot(u, u)) for u in (a, b, c, d))
-    ac = dot(a, c)
-    n1, n2 = triple(a, b, c), triple(a, c, d)
-    d1 = ra * rb * rc + dot(a, b) * rc + ac * rb + dot(b, c) * ra
-    d2 = ra * rc * rd + ac * rd + dot(a, d) * rc + dot(c, d) * ra
+    ra, rb, rc, rd = (np.sqrt(_dot(u, u)) for u in (a, b, c, d))
+    ac = _dot(a, c)
+    n1, n2 = _triple(a, b, c), _triple(a, c, d)
+    d1 = ra * rb * rc + _dot(a, b) * rc + ac * rb + _dot(b, c) * ra
+    d2 = ra * rc * rd + ac * rd + _dot(a, d) * rc + _dot(c, d) * ra
     return np.arctan2(n1 * d2 + n2 * d1, d1 * d2 - n1 * n2) / (-2.0 * math.pi)
+
+
+# Where a tail's far end is put, beyond its vertex along y, in units of the
+# knot's diameter (which v2_mc makes 0.5 to 1): the direction of that end
+# is then the tail's to 1e-30, below a double's resolution.
+FAR = 1e30
+
+
+def _slot_ends(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): slot k of the long polygon v runs from lo[k] to hi[k], the
+    lower tail from FAR below v[0] and the upper one to FAR above v[-1]."""
+    far = np.array([0.0, FAR, 0.0])
+    return (np.concatenate((v[:1] - far, v)),
+            np.concatenate((v, v[-1:] + far)))
 
 
 def _gauss_block(lo: np.ndarray, hi: np.ndarray, rows: int, c0: int,
                  c1: int) -> np.ndarray:
-    """I(p, q) (`_gauss`) for slots p < rows and c0 <= q < c1 of a long
-    polygon whose slot k runs from lo[k] to hi[k], 0 where q < p + 2.
-
-    The lower tail starts at infinity below, so its A and D point along
-    (0, -1, 0); the upper tail ends at infinity above, so its C and D do
-    too.  Adjacent slots are coplanar and give 0; so does the tail-tail
-    pair, three of whose corners point along (0, -1, 0).
-    """
+    """I(p, q) (`_gauss`) for slots p < rows and c0 <= q < c1 of the slot
+    table (lo, hi) (`_slot_ends`), 0 where q < p + 2: adjacent slots are
+    coplanar and give 0."""
     corners = [[first[:rows, k, None] - second[None, c0:c1, k]
                 for k in range(3)]
                for first, second in ((lo, lo), (hi, lo), (hi, hi), (lo, hi))]
-    a, b, c, d = corners
-    for k, down in enumerate((0.0, -1.0, 0.0)):
-        a[k][0], d[k][0] = down, down
-        if c1 == len(lo):
-            c[k][:, -1], d[k][:, -1] = down, down
     apart = np.arange(rows)[:, None] <= np.arange(c0, c1) - 2
-    return np.where(apart, _gauss(a, b, c, d), 0.0)
+    return np.where(apart, _gauss(*corners), 0.0)
 
 
 # Slot pairs in one block of _simplex_exact, whose temporaries then take a
@@ -446,8 +439,7 @@ def _simplex_exact(v: np.ndarray) -> float:
     taken from the right: the row sums of the blocks done give R, and a
     cumulative sum down each column gives J.
     """
-    lo = np.concatenate((v[:1], v))
-    hi = np.concatenate((v, v[-1:]))
+    lo, hi = _slot_ends(v)
     n = len(lo)
     width = max(1, PAIR_BLOCK // n)
     done = np.zeros(n)  # row sums of I over the columns done
@@ -516,141 +508,80 @@ def _coincident(r: np.ndarray, par: _Param):
     return -weight * (g13 * g42), ok1 & ok2
 
 
-def _slot_lines(vertices) -> np.ndarray:
-    """One id per slot of a long polygon with exact vertices, equal for the
-    slots that lie on one straight line (the two tails always do).
+def _tripods(r: np.ndarray, par: _Param, lo: np.ndarray, hi: np.ndarray):
+    """The three 3-point integrals (strata 2-4) as one, from an (m, 3)
+    draw: a pair ta < tb of curve parameters and a slot k, uniform over the
+    n - 2 slots other than those of ta and tb.
 
-    A line through p along d is keyed by its Pluecker coordinates (d, p x d)
-    up to a common factor; here d and p are integer vectors times the
-    denominator of p's coordinates, and the key is divided by its gcd with
-    the sign that makes d's leading entry positive.  Integers, not
-    Fractions: this runs once per estimate, and Fraction arithmetic would
-    take milliseconds on a 50-vertex knot.
+    With the pair fixed, the strata's third point and line parameter
+    integrate to a Gauss integral J_k of a straight piece of the line
+    through xa and xb against slot k (`_chord_gauss`): the segment from xa
+    to xb for a slot before ta or after tb (strata 3 and 2), its two outer
+    rays for a slot between them (stratum 4).  The third point in the slot
+    of ta or tb gives 0, as that slot is coplanar with the line.  The
+    strata's pinned signs -1, -1 and +1, each with weight 1/2, and the
+    reorderings of their forms make each of them -1/2 times
+    omega_hat(xa - xb)(x'a, x'b) J_k, summed over k and integrated over
+    ta < tb; the draw's density 2 / (n - 2) makes a row -(n - 2) / 4 times
+    that product.  |J| <= 1, so a row is bounded where the pair's factor
+    is; it is rejected only where xa and xb nearly coincide.
     """
-    points = []
-    for p in vertices:
-        den = math.lcm(*(c.denominator for c in p))
-        points.append(([c.numerator * (den // c.denominator) for c in p],
-                       den))
-    top, bottom = points[0], points[-1]
-    pieces = ([(top, [0, 1, 0])]
-              + [(p, [b * p[1] - a * q[1] for a, b in zip(p[0], q[0])])
-                 for p, q in zip(points, points[1:])]
-              + [(bottom, [0, 1, 0])])
-    ids = {}
-    out = []
-    for k, ((p, den), d) in enumerate(pieces):
-        key = ([c * den for c in d]
-               + [p[1] * d[2] - p[2] * d[1], p[2] * d[0] - p[0] * d[2],
-                  p[0] * d[1] - p[1] * d[0]])
-        g = math.gcd(*key)
-        if g == 0:  # a zero-length edge lies on no one line
-            key = k
-        else:
-            g = g if next(c for c in key if c) > 0 else -g
-            key = tuple(c // g for c in key)
-        out.append(ids.setdefault(key, len(ids)))
-    return np.array(out)
+    n = par.start.shape[1]
+    pair = np.stack((np.minimum(r[:, 0], r[:, 1]),
+                     np.maximum(r[:, 0], r[:, 1])))
+    seg, s = par.slots(pair)
+    (xa, xb), (da, db) = par.at(seg, s)
+    # component-major (3, m) points, as the slot tables' columns are taken
+    xa = np.moveaxis(xa, -1, 0)
+    w = np.moveaxis(xb, -1, 0) - xa
+    # omega_hat(xa - xb)(x'a, x'b) = omega_hat(w)(x'b, x'a)
+    f, ok = _omega_hat(w.T, db, da, par.scale)
+    sa, sb = seg
+    k = (r[:, 2] * (n - 2)).astype(int)
+    k += k >= sa
+    k += k >= sb
+    j = _chord_gauss(xa - lo.T.take(k, axis=1), xa - hi.T.take(k, axis=1),
+                     w, (sa < k) & (k < sb))
+    return (-0.25 * (n - 2)) * (f * j), ok
 
 
-def _tripod(r: np.ndarray, par: _Param, which: int, lines: np.ndarray):
-    """The three 3-point integrals, `which` (2, 3 or 4) selecting one, from
-    an (m, 3) draw of curve parameters; the line parameter is integrated
-    exactly (`_line_omega`).  Three points on one straight line, in one slot
-    or in slots that `lines` (`_slot_lines`) puts on one line, give 0, as
-    every tangent and difference is then parallel: such a row is an
-    accepted 0, so that excluding it does not inflate the mean."""
-    seg, s = par.slots(_sort_rows(r))
-    pos, der = par.at(seg, s)
-    x1, x2, x3 = pos[:, 0], pos[:, 1], pos[:, 2]
-    d1, d2, d3 = der[:, 0], der[:, 1], der[:, 2]
-    if which == 2:
-        w = x1 - x2
-        ga, ok1 = _omega_hat(w, d1, d2, par.scale)
-        gb, ok2 = _line_omega(x2 - x3, w, d3, par.scale, segment=True)
-        # (-1)(dt1^dt2) . (-1)(dt3^dt) , even shuffle
-        vals = ga * gb / 6.0
-    elif which == 3:
-        w = x2 - x3
-        ga, ok1 = _omega_hat(w, d2, d3, par.scale)
-        gb, ok2 = _line_omega(x1 - x2, w, d1, par.scale, segment=True)
-        # (-1)(dt2^dt3) . (+1)(dt1^dt) , even shuffle
-        vals = -(ga * gb) / 6.0
-    else:
-        # which == 4: t ranges over (-inf,0) u (1,inf)
-        w = x3 - x1
-        ga, ok1 = _omega_hat(w, d1, d3, par.scale)
-        gb, ok2 = _line_omega(x1 - x2, w, d2, par.scale, segment=False)
-        # (-1)(dt1^dt3) . (-1)(dt2^dt) , odd shuffle dt1^dt3^dt2^dt
-        vals = -(ga * gb) / 6.0
-    # the rejection test drops most rows on one line (the rest are 0 to
-    # rounding); they become accepted zeros
-    ok = ok1 & ok2
-    bad = np.flatnonzero(~ok)
-    line = lines.take(seg.take(bad, axis=0))
-    fix = bad[(line[:, 0] == line[:, 1]) & (line[:, 1] == line[:, 2])]
-    vals[fix] = 0.0
-    ok[fix] = True
-    return vals, ok
+def _chord_gauss(a: np.ndarray, d: np.ndarray, w: np.ndarray,
+                 rays: np.ndarray) -> np.ndarray:
+    """J, the Gauss integral (`_gauss`) of the segment from x to x + w
+    against a slot from lo to hi, given a = x - lo, d = x - hi and w as
+    three coordinate arrays each; where `rays`, that of the rest of the
+    segment's line instead.
 
-
-def _line_omega(a: np.ndarray, w: np.ndarray, d: np.ndarray, scale: float,
-                segment: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(values, valid mask) of the integral of omega_hat(a + t w)(d, w) over
-    t in (0,1) if `segment`, else over (-inf,0) u (1,inf).
-
-    The numerator (a + t w) . (d x w) = a . (d x w) does not depend on t.
-    With p0 = a, p1 = a + w, r = |p| and D = |a x w|^2, the integral of
-    1/|a + t w|^3 is
-
-        over (0,1):     (r0 + r1) / (r0 r1 (r0 r1 + p0 . p1)),
-        over (1,inf):   1 / (r1 (|w| r1 + w . p1)),
-        over (-inf,0):  1 / (r0 (|w| r0 - w . p0)).
-
-    Each sum X + y there has (X + y)(X - y) = D, so where y < 0 it is taken
-    as D / (X + |y|), which cancels no digits.  A line that passes within
-    _REJECT_EPS * scale of the origin is rejected (collinear and coincident
-    points among them), and its value is 0.
+    The parallelogram's corners are a, a + w, d + w and d, and both of its
+    triangles have the triple product t = a . (w x d), so six dot products
+    and t give J.  The whole line against the slot is the dihedral angle
+    at the line between the half-planes through the slot's two ends, over
+    2 pi, and the rays are the line less the segment.  Where the slot
+    crosses the line in one plane (t = 0), J jumps by 1/2 with t's sign;
+    pairs of positive measure meet that only with their points and
+    tangents in the slot's plane, where their factor in `_tripods` is 0.
     """
-    (ax, ay, az), (wx, wy, wz), (dx, dy, dz) = map(_coords, (a, w, d))
-    nx, ny, nz = ay * wz - az * wy, az * wx - ax * wz, ax * wy - ay * wx
-    big_d = nx * nx + ny * ny + nz * nz
-    big_a = wx * wx + wy * wy + wz * wz
-    valid = big_d > (_REJECT_EPS * scale) ** 2 * big_a
-    bx, by, bz = ax + wx, ay + wy, az + wz
-    r0 = np.sqrt(ax * ax + ay * ay + az * az)
-    r1 = np.sqrt(bx * bx + by * by + bz * bz)
-
-    def inverse(x, y):
-        """(numerator, denominator) whose ratio is D / (x + y)."""
-        e = x + np.abs(y)
-        return np.where(y >= 0, big_d, e * e), e
-
-    if segment:
-        p = r0 * r1
-        top, bottom = inverse(p, ax * bx + ay * by + az * bz)
-        top *= r0 + r1
-        bottom *= p
-    else:
-        length = np.sqrt(big_a)
-        c0 = ax * wx + ay * wy + az * wz
-        top1, bottom1 = inverse(length * r1, c0 + big_a)
-        top0, bottom0 = inverse(length * r0, -c0)
-        bottom1 *= r1
-        bottom0 *= r0
-        top = top1 * bottom0 + top0 * bottom1
-        bottom = bottom1 * bottom0
-    # a . (d x w) = -d . (a x w), the minus sign going to the denominator
-    num = (dx * nx + dy * ny + dz * nz) * top
-    return np.divide(num, (-4.0 * math.pi) * big_d * bottom,
-                     out=np.zeros_like(num), where=valid), valid
+    aa, dd, ww = _dot(a, a), _dot(d, d), _dot(w, w)
+    ad, aw, dw = _dot(a, d), _dot(a, w), _dot(d, w)
+    t = _triple(a, w, d)
+    ra, rd = np.sqrt(aa), np.sqrt(dd)
+    # |a + w| and |d + w|, clamped where rounding takes them below 0
+    rb = np.sqrt(np.maximum(aa + 2.0 * aw + ww, 0.0))
+    rc = np.sqrt(np.maximum(dd + 2.0 * dw + ww, 0.0))
+    ac, cd = ad + aw, dd + dw
+    d1 = ra * rb * rc + (aa + aw) * rc + ac * rb + (ac + dw + ww) * ra
+    d2 = ra * rc * rd + ac * rd + ad * rc + cd * ra
+    segment = np.arctan2(t * (d1 + d2), d1 * d2 - t * t) / (-2.0 * math.pi)
+    line = np.arctan2(-t * np.sqrt(ww), ad * ww - aw * dw) / (2.0 * math.pi)
+    return np.where(rays, line - segment, segment)
 
 
-# Per-stratum orientation signs relative to the natural parameter
-# orientation used above, pinned by calibration: only this choice converges
-# to the combinatorial v2 on both the trefoil and figure-eight fixtures
-# (the runner-up sign pattern misses by > 0.2 at 2.4e7 samples).
-_STRATUM_SIGNS = (1.0, -1.0, -1.0, 1.0)
+# The simplex stratum's orientation sign relative to the natural parameter
+# orientation, pinned by calibration: with the tripods' signs, which
+# `_tripods` folds into its coefficient, only this choice converges to the
+# combinatorial v2 on both the trefoil and figure-eight fixtures (the
+# runner-up sign pattern missed by > 0.2 at 2.4e7 samples).
+_SIMPLEX_SIGN = 1.0
 
 
 def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
@@ -663,40 +594,39 @@ def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
     # for its size keeps its shape in doubles.  Scaling by a power of two is
     # exact in doubles, and every integrand is scale-invariant, so a copy of
     # diameter in [0.5, 1) changes no bit of the sampled simplex stratum; it
-    # keeps the tripods' D, a fourth power of lengths, inside the doubles
-    # whatever the knot's size.
+    # keeps FAR far, and the products of up to six lengths of the slot
+    # ends inside the doubles, whatever the knot's size.
     v = _offsets(knot.vertices, knot.vertices[0])
     _, exponent = math.frexp(float(np.linalg.norm(v.max(axis=0)
                                                    - v.min(axis=0))))
     v = np.ldexp(v, -exponent)
     par = _Param(v, long=True)
-    exact = _STRATUM_SIGNS[0] * _simplex_exact(v)
-    lines = _slot_lines(knot.vertices)
-    accs = [_Accumulator() for _ in range(4)]
+    lo, hi = _slot_ends(v)
+    exact = _simplex_exact(v)
+    # the coincident simplex rows, and the tripods' (streams 2-4)
+    simplex, tripods = _Accumulator(), _Accumulator()
     out = []
     cp = sorted(set(checkpoints))
     # the last chunk brings `done` to ceil(samples / 4), so every
     # checkpoint (at most `samples`) is reported inside the loop
     for chunk, m, done in _chunks((samples + 3) // 4):
-        vals, ok = _blocked(_coincident, _rng(seed, 1, chunk), m, 4, par)
-        vals *= _STRATUM_SIGNS[0]
-        accs[0].add(vals, ok)
-        for k in (2, 3, 4):
-            vals, ok = _blocked(_tripod, _rng(seed, k, chunk), m, 3,
-                                par, k, lines)
-            vals *= 0.5 * _STRATUM_SIGNS[k - 1]
-            accs[k - 1].add(vals, ok)
+        simplex.add(*_blocked(_coincident, _rng(seed, 1, chunk), m, 4, par))
+        for stream in (2, 3, 4):
+            tripods.add(*_blocked(_tripods, _rng(seed, stream, chunk), m, 3,
+                                  par, lo, hi))
         while cp and done * 4 >= cp[0]:
-            out.append(_combine(accs, exact, seed))
+            out.append(_combine(simplex, tripods, exact, seed))
             cp.pop(0)
     return out
 
 
-def _combine(accs, exact: float, seed: int) -> McEstimate:
-    value = exact + sum(a.mean() for a in accs)
-    err = math.sqrt(sum(min(a.std_error(), 1e18) ** 2 for a in accs))
-    return McEstimate(value, err, sum(a.n for a in accs), seed,
-                      sum(a.rejected for a in accs))
+def _combine(simplex: _Accumulator, tripods: _Accumulator, exact: float,
+             seed: int) -> McEstimate:
+    value = _SIMPLEX_SIGN * (exact + simplex.mean()) + tripods.mean()
+    err = math.sqrt(sum(min(a.std_error(), 1e18) ** 2
+                        for a in (simplex, tripods)))
+    return McEstimate(value, err, simplex.n + tripods.n, seed,
+                      simplex.rejected + tripods.rejected)
 
 
 def v2_mc(knot: PolyKnot, samples: int, seed: int = 0) -> McEstimate:

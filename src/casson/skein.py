@@ -38,18 +38,10 @@ class NotDescendingRealizable(ValueError):
 @dataclass(frozen=True)
 class FlipTrace:
     flips: tuple[tuple[int, int, int], ...]  # (chord id, sign at flip time, lk)
-    final_diagram: GaussDiagram
 
     @property
     def total(self) -> int:
         return sum(sign * lk for _, sign, lk in self.flips)
-
-    def to_dict(self) -> dict:
-        return {
-            "flips": [{"chord": cid, "sign": sign, "lk": lk}
-                      for cid, sign, lk in self.flips],
-            "final": self.final_diagram.serialize(),
-        }
 
 
 def _flip_counts(e_head: int, e_tail: int, tails: int, pos: int,
@@ -83,11 +75,10 @@ def descend(diagram: GaussDiagram) -> FlipTrace:
     head-first ones, in the order of their heads, and every chord of the
     final diagram is tail-first.  One walk computes each switch's counts at
     its tail; a second, over the switches in circle order, checks them and
-    raises at the first whose counts disagree.  The final diagram is built
-    once, by `GaussDiagram.from_endpoint_order`.
+    raises at the first whose counts disagree.  The final diagram is the
+    input with the switched chords reversed; it is not built.
     """
-    tail, head, sign, at = diagram.tail, diagram.head, diagram.sign, diagram.at
-    ids = diagram.ids
+    tail, sign, at, ids = diagram.tail, diagram.sign, diagram.at, diagram.ids
     digits = "".join(["1" if s > 0 else "0" for s in reversed(sign)])
     pos = int(digits or "0", 2)   # the chords of sign +1
     # switched chord -> the parity mask at its head, then its counts;
@@ -106,18 +97,13 @@ def descend(diagram: GaussDiagram) -> FlipTrace:
             counts[c] = parity
             switched |= bit
     flips = []
-    signs = dict(zip(ids, sign))
     for c, (crossings, lk) in counts.items():
         if crossings != 2 * lk:
             raise NotDescendingRealizable(
                 f"lk mismatch at chord {ids[c]}: count {lk} "
                 f"vs smoothing {Fraction(crossings, 2)}")
         flips.append((ids[c], sign[c], lk))
-        signs[ids[c]] = -sign[c]
-    final = GaussDiagram.from_endpoint_order(
-        [(ids[c], "T" if p < tail[c] or p < head[c] else "H")
-         for p, c in enumerate(at)], signs)
-    return FlipTrace(tuple(flips), final)
+    return FlipTrace(tuple(flips))
 
 
 def v2_skein(diagram: GaussDiagram) -> int:

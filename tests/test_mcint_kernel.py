@@ -7,10 +7,13 @@ masks must be equal.  The values may differ only in the order in which the
 dot product's three terms are added (einsum's order depends on the numpy
 version), so they must agree to a few ulps of |v| |a x b| / (4 pi |v|^3).
 
-The tripod strata integrate their line parameter in closed form
-(`mcint._line_omega`).  Their reference is `_sampled_tripod`, the
-integrand with that parameter sampled, integrated over it by Gauss-Legendre
-quadrature.
+The tripod stratum draws a pair of curve points and one slot k, and
+integrates the third point over slot k and the line parameter in closed
+form, as a Gauss integral J_k of a straight piece of the pair's line
+against the slot (`mcint._chord_gauss`).  J_k is checked against
+Gauss-Legendre quadrature of `_omega_hat` over the point in the slot and
+the line parameter, its two outer rays against `_gauss` with corners at
+infinity, and |J| <= 1 on drawn rows.
 
 The simplex stratum over four distinct slots is a sum of products of Gauss
 integrals I(p, q) of two straight slots (`mcint._gauss_block`), summed in
@@ -103,15 +106,14 @@ def test_rejection_threshold():
 
 def test_sorting_network_matches_np_sort():
     rng = np.random.default_rng(8)
-    for k in (3, 4):
-        uniform = rng.random((5000, k))
-        # a small grid, so that many rows hold tied values
-        tied = rng.integers(0, 3, (5000, k)) / 2.0
-        for t in (uniform, tied, uniform[:, ::-1]):
-            got = mcint._sort_rows(t)
-            assert got.shape == t.shape
-            assert np.array_equal(got, np.sort(t, axis=1))
-        assert (np.diff(tied, axis=1) == 0).any(axis=1).mean() > 0.5
+    uniform = rng.random((5000, 4))
+    # a small grid, so that many rows hold tied values
+    tied = rng.integers(0, 3, (5000, 4)) / 2.0
+    for t in (uniform, tied, uniform[:, ::-1]):
+        got = mcint._sort_columns(list(t.T))
+        assert got.shape == t.shape
+        assert np.array_equal(got, np.sort(t, axis=1))
+    assert (np.diff(tied, axis=1) == 0).any(axis=1).mean() > 0.5
 
 
 _ROWS = (1, mcint.BLOCK - 1, mcint.BLOCK, mcint.BLOCK + 1, mcint.CHUNK)
@@ -129,12 +131,12 @@ def _same_blocked_and_whole(integrand, key, shape, *args):
 def test_strata_blocked_match_whole_draw():
     knot = polyknot_from_braid([1, 1, 1])
     par = mcint._Param(knot.vertices, long=True)
-    lines = mcint._slot_lines(knot.vertices)
+    lo, hi = _slot_ends(knot)
     for m in _ROWS:
         _same_blocked_and_whole(mcint._coincident, (0, 1, 0), (m, 4), par)
         for k in (2, 3, 4):
-            _same_blocked_and_whole(mcint._tripod, (0, k, 0), (m, 3), par, k,
-                                    lines)
+            _same_blocked_and_whole(mcint._tripods, (0, k, 0), (m, 3), par,
+                                    lo, hi)
 
 
 def test_linking_blocked_matches_whole_draw():
@@ -147,123 +149,129 @@ def test_linking_blocked_matches_whole_draw():
                                 par_a, par_b)
 
 
-# -- the tripods' line parameter, integrated in closed form --------------------
+# -- the tripods: one slot and the line parameter in closed form -------------
 
-def _sampled_tripod(r, par, which):
-    """The tripod integrand with the line parameter sampled, as the kernel
-    had it before that integral was taken in closed form: r is an (m, 4)
-    draw, three curve parameters and the line parameter u."""
-    t = np.sort(r[:, :3], axis=1)
-    u = np.clip(r[:, 3], 0.0, 1 - 1e-9)
-    pos, der = par.eval(t)
-    x1, x2, x3 = pos[:, 0], pos[:, 1], pos[:, 2]
-    d1, d2, d3 = der[:, 0], der[:, 1], der[:, 2]
-    if which == 2:
-        w = x1 - x2
-        ga, ok1 = mcint._omega_hat(w, d1, d2, par.scale)
-        line = (x2 - x3) + u[:, None] * w
-        gb, ok2 = mcint._omega_hat(line, d3, w, par.scale)
-        return ga * gb / 6.0, ok1 & ok2
-    if which == 3:
-        w = x2 - x3
-        ga, ok1 = mcint._omega_hat(w, d2, d3, par.scale)
-        line = (x1 - x2) + u[:, None] * w
-        gb, ok2 = mcint._omega_hat(line, d1, w, par.scale)
-        return -(ga * gb) / 6.0, ok1 & ok2
-    # the complement of (0,1), as t = -u/(1-u) and t = 1/(1-u)
-    w = x3 - x1
-    ga, ok1 = mcint._omega_hat(w, d1, d3, par.scale)
-    base = x1 - x2
-    jac = 1.0 / (1.0 - u) ** 2
-    t_neg = -u / (1.0 - u)
-    t_pos = 1.0 / (1.0 - u)
-    gb_n, ok2 = mcint._omega_hat(base + t_neg[:, None] * w, d2, w, par.scale)
-    gb_p, ok3 = mcint._omega_hat(base + t_pos[:, None] * w, d2, w, par.scale)
-    return -(ga * (gb_n + gb_p) * jac) / 6.0, ok1 & ok2 & ok3
-
-
-def _quadrature(t, par, which, nodes):
-    """Gauss-Legendre quadrature of _sampled_tripod over u in (0,1), and
-    whether every node was accepted, at each row of t."""
+def _quadrature_chord(par, xa, xb, k, rays, nodes):
+    """Gauss-Legendre quadrature of J_k, the integral of
+    omega_hat(y - x)(w, x') over x in slot k, through _Param.eval, and
+    over y = xa + s w on the segment (s in (0,1)) or, if `rays`, on its two
+    outer rays (s = -u/(1-u) and s = 1/(1-u) for u in (0,1))."""
+    n = par.start.shape[1]
     x, weights = np.polynomial.legendre.leggauss(nodes)
-    r = np.column_stack((np.repeat(t, nodes, axis=0),
-                         np.tile((x + 1.0) / 2.0, len(t))))
-    vals, ok = _sampled_tripod(r, par, which)
-    vals = vals.reshape(len(t), nodes) @ (weights / 2.0)
-    return vals, ok.reshape(len(t), nodes).all(axis=1)
+    u = (x + 1.0) / 2.0
+    if rays:
+        s = np.concatenate((-u / (1.0 - u), 1.0 / (1.0 - u)))
+        line_weights = np.tile(weights / (1.0 - u) ** 2, 2)
+    else:
+        s, line_weights = u, weights
+    pos, der = par.eval((k + u) / n)
+    w = xb - xa
+    y = xa + s[:, None] * w
+    shape = (len(s), nodes, 3)
+    vals, ok = mcint._omega_hat(y[:, None] - pos[None],
+                                np.broadcast_to(w, shape),
+                                np.broadcast_to(der[None], shape), 1.0)
+    assert ok.all()
+    return line_weights @ vals @ weights / (4 * n)
 
 
 @pytest.mark.parametrize("word", KNOTS, ids=["3_1", "4_1", "T7_2"])
-def test_tripods_match_quadrature_over_the_line(word):
-    # a row is well conditioned when the quadrature has converged on it:
-    # 64 and 128 nodes agree to 1e-12
+def test_tripod_slots_match_quadrature(word):
+    # every slot other than the pair's: the segment before and after the
+    # pair, its outer rays between.  A pair whose factor
+    # omega_hat(xa - xb)(x'a, x'b) is 0 is skipped: its points and tangents
+    # may lie in one plane with a slot, whose J then jumps by 1/2 where the
+    # slot crosses the line.  A slot is well conditioned when the
+    # quadrature has converged on it: 32 and 48 nodes agree to 1e-12.
     knot = polyknot_from_braid(word)
     par = mcint._Param(knot.vertices, long=True)
-    lines = mcint._slot_lines(knot.vertices)
-    for which in (2, 3, 4):
-        t = mcint._rng(0, which, 0).random((1000, 3))
-        got, ok = mcint._tripod(t, par, which, lines)
-        coarse, _ = _quadrature(t, par, which, 64)
-        fine, fine_ok = _quadrature(t, par, which, 128)
-        good = ok & fine_ok & (np.abs(coarse - fine) <= 1e-12 * np.abs(fine))
-        assert good.mean() > 0.8
-        assert np.all(np.abs(got - fine)[good] <= 1e-8 * np.abs(fine)[good])
+    lo, hi = _slot_ends(knot)
+    n = par.start.shape[1]
+    t = np.sort(np.random.default_rng(10).random((12, 2)), axis=1)
+    pos, der = par.eval(t)
+    factor, _ = mcint._omega_hat(pos[:, 0] - pos[:, 1], der[:, 0], der[:, 1],
+                                 1.0)
+    seg, _ = par.slots(t)
+    checked = total = 0
+    inside = set()
+    for (xa, xb), (sa, sb) in zip(pos[factor != 0], seg[factor != 0]):
+        k = np.array([q for q in range(n) if q not in (sa, sb)])
+        rays = (sa < k) & (k < sb)
+        got = mcint._chord_gauss(xa[:, None] - lo[k].T, xa[:, None] - hi[k].T,
+                                 (xb - xa)[:, None], rays)
+        for q, ray, j in zip(k, rays, got):
+            total += 1
+            fine = _quadrature_chord(par, xa, xb, q, ray, 48)
+            if abs(fine - _quadrature_chord(par, xa, xb, q, ray, 32)) > 1e-12:
+                continue
+            checked += 1
+            inside.add(bool(ray))
+            assert abs(j - fine) <= 1e-13, (sa, sb, q)
+    assert total > 5 * n and checked > 0.8 * total
+    assert inside == {False, True}
+
+
+def test_rays_are_the_line_less_the_segment():
+    # the two outer rays by `_gauss`, each with its corners at infinity
+    # given as the direction -w or +w
+    rng = np.random.default_rng(11)
+    a, d, w = rng.standard_normal((3, 3, 2000))
+    b, c = a + w, d + w
+    rays = mcint._gauss(-w, a, d, -w) + mcint._gauss(b, w, w, c)
+    got = mcint._chord_gauss(a, d, w, np.ones(2000, bool))
+    assert np.all(np.abs(got - rays) <= 1e-13 * np.abs(rays).max())
+    segment = mcint._chord_gauss(a, d, w, np.zeros(2000, bool))
+    assert np.all(np.abs(segment - mcint._gauss(a, b, c, d)) <= 1e-13)
+
+
+def test_tripod_slot_integrals_are_bounded(monkeypatch):
+    # |J| <= 1 on every drawn row: the segment and the line each give at
+    # most 1/2 in size
+    seen = []
+    chord = mcint._chord_gauss
+
+    def recorded(*args):
+        seen.append(chord(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(mcint, "_chord_gauss", recorded)
+    for word in KNOTS:
+        knot = polyknot_from_braid(word)
+        par = mcint._Param(knot.vertices, long=True)
+        vals, _ = mcint._blocked(mcint._tripods, mcint._rng(4, 2, 0), 1 << 20,
+                                 3, par, *_slot_ends(knot))
+        assert np.all(np.isfinite(vals))
+    j = np.concatenate(seen)
+    assert j.size == 3 << 20 and np.all(np.abs(j) <= 1.0)
 
 
 def test_collinear_and_coincident_tripods_are_rejected():
-    # three points on one straight line give 0, and are accepted as zeros:
-    # in one edge or tail, or on the two tails, which share the y axis, or
-    # all three at one point, where the line has no direction (w = 0 and
-    # r0 = r1 = 0 in _line_omega); repeated points in distinct slots off
-    # one line stay rejected
+    # a pair in one edge or tail, or on the two tails, which share the y
+    # axis, gives 0 exactly (its factor's tangents are parallel) and is
+    # accepted; a pair at one point is rejected with a finite value
     knot = polyknot_from_braid([1, 1, 1])
     par = mcint._Param(knot.vertices, long=True)
-    lines = mcint._slot_lines(knot.vertices)
+    lo, hi = _slot_ends(knot)
     n = par.start.shape[1]
-    slots = np.arange(n)[:, None]
-    one_slot = (slots + np.array([0.2, 0.5, 0.7])) / n
-    tails = np.array([[0.1, 0.5, n - 0.5], [0.5, n - 0.7, n - 0.2]]) / n
-    t = np.random.default_rng(9).random((200, 1))
-    one_point = np.hstack((t, t, t))
-    for rows in (one_slot, tails, one_point):
-        for which in (2, 3, 4):
-            with np.errstate(all="raise"):
-                vals, ok = mcint._tripod(rows, par, which, lines)
+    slots = np.arange(n)
+    one_slot = np.column_stack(((slots + 0.7) / n, (slots + 0.2) / n,
+                                np.full(n, 0.5)))
+    tails = np.array([[0.1, n - 0.5, 0.3], [n - 0.2, 0.5, 0.9]]) / [n, n, 1]
+    t = np.random.default_rng(9).random((200, 2))
+    coincident = np.column_stack((t[:, 0], t[:, 0], t[:, 1]))
+    with np.errstate(all="raise"):
+        for rows in (one_slot, tails):
+            vals, ok = mcint._tripods(rows, par, lo, hi)
             assert ok.all() and np.all(vals == 0.0)
-    coincident = np.concatenate((np.hstack((t, t, t[::-1])),
-                                 np.hstack((t, t[::-1], t[::-1]))))
-    seg, _ = par.slots(np.sort(coincident, axis=1))
-    line = lines[seg]
-    off_line = (line[:, 0] != line[:, 1]) | (line[:, 1] != line[:, 2])
-    assert off_line.mean() > 0.9
-    for which in (2, 3, 4):
-        with np.errstate(all="raise"):
-            vals, ok = mcint._tripod(coincident, par, which, lines)
-        assert np.all(np.isfinite(vals)) and not ok[off_line].any()
-        assert np.all(vals[~off_line] == 0.0) and ok[~off_line].all()
-
-
-def test_slot_lines():
-    # the tails share the y axis; 3_1's slots 10 and 14 are x = 1, z = 0
-    # pieces, and 4_1 has two consecutive edges on one line
-    lines = mcint._slot_lines(polyknot_from_braid([1, 1, 1]).vertices)
-    assert lines[0] == lines[-1] and lines[10] == lines[14]
-    assert len(set(lines.tolist())) == len(lines) - 2
-    lines = mcint._slot_lines(polyknot_from_braid([1, -2, 1, -2]).vertices)
-    assert lines[3] == lines[4]
-    # a vertex on the axis between the tails, a repeated vertex, and a
-    # reversed edge
-    verts = ((0, 0, 0), (0, Fraction(1, 3), 0), (1, 1, 0), (1, 1, 0),
-             (2, 2, 0), (0, 0, 0), (0, 5, 0))
-    lines = mcint._slot_lines(PolyKnot(verts, "long").vertices)
-    assert lines.tolist() == [0, 0, 1, 2, 3, 3, 0, 0]
+        vals, ok = mcint._tripods(coincident, par, lo, hi)
+    assert np.all(np.isfinite(vals)) and not ok.any()
 
 
 # -- the simplex stratum: the distinct slots in closed form ---------------------
 
 def _slot_ends(knot):
-    v = np.array([[float(c) for c in p] for p in knot.vertices])
-    return np.concatenate((v[:1], v)), np.concatenate((v, v[-1:]))
+    return mcint._slot_ends(np.array([[float(c) for c in p]
+                                      for p in knot.vertices]))
 
 
 def _quadrature_gauss(par, p, q, nodes):

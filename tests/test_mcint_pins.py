@@ -26,41 +26,41 @@ COUNTS = (1, 5, 40001, 70001, 140001)
 # (value, std_error, samples, rejected) at each of COUNTS
 V2_MC_SEED7 = {
     "3_1": [
-        (1.2828586292997943, 2e+18, 4, 0),
-        (-1.8510882285859969, 1.9155295294153767, 8, 0),
-        (0.9410002155793439, 0.08454253838796681, 40003, 1),
-        (0.9355276557307559, 0.062155544648590105, 70003, 1),
-        (0.9574605252681483, 0.04057921908136547, 140003, 1),
+        (1.3188618357222972, 1e+18, 4, 0),
+        (-1.3426383243063633, 2.4778816332282165, 8, 0),
+        (0.9523992726106686, 0.04942051693400234, 40004, 0),
+        (0.9609314031201264, 0.0418012438033968, 70004, 0),
+        (1.0007518214273103, 0.029983406458136717, 140004, 0),
     ],
     "4_1": [
-        (-5.3224428329746285, 2e+18, 4, 0),
-        (-2.895575117196332, 1.531604281640495, 8, 0),
-        (-0.9464326316732515, 0.23497747045512996, 40004, 0),
-        (-1.0192017842078067, 0.16269103302359803, 70004, 0),
-        (-0.9931242208542378, 0.11067658653062924, 140004, 0),
+        (0.1886063618128595, 1e+18, 4, 0),
+        (-0.5389111144134293, 0.5813820030012261, 8, 0),
+        (-1.0394283524498347, 0.15279397526803856, 40004, 0),
+        (-1.0307692922677076, 0.11045971513580916, 70004, 0),
+        (-1.0133556856184447, 0.07904002133582967, 140004, 0),
     ],
     "T7_2": [
-        (7.73045623448434, 2e+18, 4, 0),
-        (8.137629414127806, 1.1146140735497345, 8, 0),
-        (6.1240131948043075, 0.3397600369105123, 40004, 0),
-        (5.8903727878722805, 0.2855951284356016, 70004, 0),
-        (5.849468319093602, 0.2523523868840094, 140004, 0),
+        (6.921545944699918, 1e+18, 4, 0),
+        (6.770399628701453, 0.6320618626176033, 8, 0),
+        (6.176937969684675, 0.30990841994995566, 40004, 0),
+        (6.070161212455423, 0.2609118708476077, 70004, 0),
+        (5.75154635042486, 0.21345774437816, 140004, 0),
     ],
 }
 V2_MC_SERIES_SEED3 = {
     "3_1": [
-        (1.0192197511209917, 0.03702406049976157, 131072, 0),
-        (1.0192197511209917, 0.03702406049976157, 131072, 0),
-        (1.0192197511209917, 0.03702406049976157, 131072, 0),
-        (1.0192197511209917, 0.03702406049976157, 131072, 0),
-        (1.003598683932434, 0.03635025963819824, 140004, 0),
+        (0.97787360276592, 0.02955249457501479, 131072, 0),
+        (0.97787360276592, 0.02955249457501479, 131072, 0),
+        (0.97787360276592, 0.02955249457501479, 131072, 0),
+        (0.97787360276592, 0.02955249457501479, 131072, 0),
+        (0.981722688559117, 0.028669482739827414, 140004, 0),
     ],
     "4_1": [
-        (-0.9873869331219227, 0.11509950374899665, 131072, 0),
-        (-0.9873869331219227, 0.11509950374899665, 131072, 0),
-        (-0.9873869331219227, 0.11509950374899665, 131072, 0),
-        (-0.9873869331219227, 0.11509950374899665, 131072, 0),
-        (-0.9818463233504251, 0.11007223780480746, 140004, 0),
+        (-1.0836883879970658, 0.08695319949029746, 131072, 0),
+        (-1.0836883879970658, 0.08695319949029746, 131072, 0),
+        (-1.0836883879970658, 0.08695319949029746, 131072, 0),
+        (-1.0836883879970658, 0.08695319949029746, 131072, 0),
+        (-1.0902664850957415, 0.08382884892140939, 140004, 0),
     ],
 }
 LINKING_MC_SEED11 = [
