@@ -30,12 +30,14 @@ mean is the same, and the variance can only be lower than with those parts
 sampled.  v2_mc samples a power-of-two copy of the knot, translated by its
 first vertex (exactly) and of diameter in [0.5, 1), which every integrand,
 being translation- and scale-invariant, gives the same value; in that copy
-a tail's end at infinity is a point FAR away (`_slot_ends`).
+a tail's end at infinity is a point FAR away.
 
 The two estimators sample their curves through one parametrization of a
-polygon, closed or long, one equal parameter slot per edge (`_Param`).  The
-kernel is component-major: each coordinate is one contiguous array, and
-`_omega_hat` sums its dot product as (x + z) + y, numpy 2.4 einsum's order.
+polygon, closed or long, one equal parameter slot per edge (`_Param`); a
+vertex repeated right after itself, whose slot would be empty, is dropped
+first (`_distinct`).  Its slot table is the one description of the curve,
+and the kernel is component-major: every array of points or vectors is
+(3, ...), one contiguous array per coordinate, from that table on.
 lk_combinatorial, the exact linking number that linking_mc is checked
 against, counts crossings with the bounding-box sweep of `plane.project`.
 
@@ -125,27 +127,34 @@ class _Accumulator:
         return math.sqrt(max(var, 0.0) / self.n)
 
 
-def _coords(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three coordinate views of a (..., 3) array (np.moveaxis's, at a
-    fraction of its call overhead, which the per-block kernels pay often)."""
-    return v[..., 0], v[..., 1], v[..., 2]
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _omega_hat(v: np.ndarray, a: np.ndarray, b: np.ndarray,
-               scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """(values, valid mask) of the normalized solid-angle coefficient."""
-    (x, y, z), (ax, ay, az), (bx, by, bz) = map(_coords, (v, a, b))
-    norm = np.sqrt(x * x + y * y + z * z)
+def _triple(u, v, w):
+    """u . (v x w), of three coordinate triples."""
+    return (u[0] * (v[1] * w[2] - v[2] * w[1])
+            + u[1] * (v[2] * w[0] - v[0] * w[2])
+            + u[2] * (v[0] * w[1] - v[1] * w[0]))
+
+
+def _omega_hat(v, a, b, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """(values, valid mask) of the normalized solid-angle coefficient
+    omega_hat(v)(a, b), of three coordinate triples."""
+    norm = np.sqrt(_dot(v, v))
     valid = norm > _REJECT_EPS * scale
     safe = np.where(valid, norm, 1.0)
-    # a x b as np.cross forms it, dotted as einsum sums it: (x + z) + y
-    num = ((x * (ay * bz - az * by) + z * (ax * by - ay * bx))
-           + y * (az * bx - ax * bz))
-    return num / (4.0 * math.pi * (safe * safe * safe)), valid
+    return _triple(v, a, b) / (4.0 * math.pi * (safe * safe * safe)), valid
 
 
 # ---------------------------------------------------------------------------
 # the polygon parametrization over (0,1)
+
+# Where a long knot's tails end, beyond its end vertices along y: v2_mc's
+# copy of the knot is 0.5 to 1 across, so the direction of that end is then
+# the tail's to 1e-30, below a double's resolution.
+FAR = 1e30
+
 
 class _Param:
     """Parametrization t in (0,1) of a closed or long polygonal curve, one
@@ -157,38 +166,36 @@ class _Param:
     and +y, with a projective stretch t -> length/(1 - t)-style so the slot
     covers the whole infinite ray.
 
-    `start` and `edge` are (3, n) tables, one row per coordinate.  eval
-    evaluates every sample on a straight edge of the padded table, into
-    (3, ...) buffers; `at` does the same for points given as (slot, offset
-    in the slot).  A tail slot's edge is a signed zero ((-0, 0, -0) low,
-    0 high), which leaves x and z at the end vertex with the ray's zero
-    derivative, so only y is overwritten in the tail slots.  eval returns
-    (..., 3) views of the buffers, and `pos[..., k]` is contiguous.
+    Slot k runs from lo[:, k] to hi[:, k]: `lo`, `hi` and `edge` = hi - lo
+    are (3, n) tables, one row per coordinate, and a long knot's lower tail
+    runs from FAR below its first vertex, its upper one to FAR above its
+    last.  `at` gives (3, ...) arrays of position and derivative at points
+    given as (slot, offset in the slot), and `eval` at parameters t.  A
+    tail's x and z come from the table, at the end vertex with derivative
+    0, and only its y and dy from the stretch.
     """
 
     def __init__(self, vertices, long: bool):
-        v = np.asarray([[float(c) for c in p] for p in vertices], dtype=float)
+        v = np.array([[float(p[k]) for p in vertices] for k in range(3)])
         self.long = long
-        diameter = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
-        self.scale = diameter
+        self.scale = float(np.linalg.norm(v.max(axis=1) - v.min(axis=1)))
         if long:
-            start = np.concatenate((v[:1], v[:-1], v[-1:]))
-            edge = np.concatenate(([[-0.0, 0.0, -0.0]], v[1:] - v[:-1],
-                                   [[0.0, 0.0, 0.0]]))
+            far = np.array([[0.0], [FAR], [0.0]])
+            self.lo = np.concatenate((v[:, :1] - far, v), axis=1)
+            self.hi = np.concatenate((v, v[:, -1:] + far), axis=1)
         else:
-            start, edge = v, np.roll(v, -1, axis=0) - v
-        self.start = np.ascontiguousarray(start.T)
-        self.edge = np.ascontiguousarray(edge.T)
+            self.lo, self.hi = v, np.roll(v, -1, axis=1)
+        self.edge = self.hi - self.lo
 
     def slots(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(slot, offset in the slot) of each parameter t in (0,1)."""
-        return self.split(t * self.start.shape[1])
+        return self.split(t * self.lo.shape[1])
 
     def split(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(slot, offset in the slot) of each x in [0, n], in slot units;
         a point at the top of slot n - 1, which t * n may round up to n,
         stays in it."""
-        seg = np.minimum(x.astype(int), self.start.shape[1] - 1)
+        seg = np.minimum(x.astype(int), self.lo.shape[1] - 1)
         return seg, x - seg
 
     def eval(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,9 +205,9 @@ class _Param:
     def at(self, seg: np.ndarray,
            s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """eval at the point s in [0,1) of the way through slot seg."""
-        n = self.start.shape[1]
+        n = self.lo.shape[1]
         edge = self.edge.take(seg, axis=1)
-        pos = self.start.take(seg, axis=1)
+        pos = self.lo.take(seg, axis=1)
         pos += s * edge
         deriv = edge * n
         if self.long:
@@ -209,15 +216,15 @@ class _Param:
             # scan; s >= 0, and s < 1 in the lower tail, so each tail's
             # clip can bind on one side only
             y, dy, s = pos[1].reshape(-1), deriv[1].reshape(-1), s.reshape(-1)
-            lo = np.flatnonzero(seg == 0)
-            s0 = np.maximum(s.take(lo), 1e-12)
-            y[lo] = self.start[1, 0] - L * (1.0 - s0) / s0
-            dy[lo] = L / s0 ** 2 * n
-            hi = np.flatnonzero(seg == n - 1)
-            s1 = np.minimum(s.take(hi), 1.0 - 1e-12)
-            y[hi] = self.start[1, -1] + L * s1 / (1.0 - s1)
-            dy[hi] = L / (1.0 - s1) ** 2 * n
-        return np.moveaxis(pos, 0, -1), np.moveaxis(deriv, 0, -1)
+            down = np.flatnonzero(seg == 0)
+            s0 = np.maximum(s.take(down), 1e-12)
+            y[down] = self.hi[1, 0] - L * (1.0 - s0) / s0
+            dy[down] = L / s0 ** 2 * n
+            up = np.flatnonzero(seg == n - 1)
+            s1 = np.minimum(s.take(up), 1.0 - 1e-12)
+            y[up] = self.lo[1, -1] + L * s1 / (1.0 - s1)
+            dy[up] = L / (1.0 - s1) ** 2 * n
+        return pos, deriv
 
 
 def _chunks(samples: int):
@@ -270,7 +277,7 @@ def linking_mc(loop1, loop2, samples: int, seed: int = 0) -> McEstimate:
     crossing count of lk_combinatorial.
     """
     _check_samples(samples)
-    v1, v2 = list(_vertices_of(loop1)), list(_vertices_of(loop2))
+    v1, v2 = _vertices_of(loop1), _vertices_of(loop2)
     if not v1 or not v2:
         raise ValueError("a linking loop needs at least one vertex")
     # one vertex of the first loop is subtracted exactly from both, as in
@@ -299,12 +306,13 @@ def _offsets(vertices, origin) -> np.ndarray:
                      for p in vertices])
 
 
-def _vertices_of(loop):
+def _vertices_of(loop) -> list:
+    """A linking loop's vertices, by `_distinct`'s rule for a closed one."""
     if isinstance(loop, PolyKnot):
         if loop.shape != "closed":
             raise ValueError("a linking loop must be closed, got a long knot")
-        return loop.vertices
-    return loop
+        loop = loop.vertices
+    return _distinct(loop, closed=True)
 
 
 # Projection directions (0, -s, 1) tried in turn by lk_combinatorial.
@@ -321,7 +329,7 @@ def lk_combinatorial(loop1, loop2) -> int:
     every projection), and the crossings come from the bounding-box sweep
     and the per-pair crossing step of `plane.project`.
     """
-    a, b = _distinct(loop1), _distinct(loop2)
+    a, b = _vertices_of(loop1), _vertices_of(loop2)
     for shear in _LK_SHEARS:
         try:
             return _lk_projected(a, b, shear)
@@ -330,12 +338,15 @@ def lk_combinatorial(loop1, loop2) -> int:
     raise ValueError("could not find a generic projection")
 
 
-def _distinct(loop):
-    """The loop's vertices as Fraction triples (by `plane._frac`'s rule),
-    without consecutive repeats (the last vertex and the first are
-    consecutive too)."""
-    pts = [tuple(_frac(c) for c in p) for p in _vertices_of(loop)]
-    return [p for k, p in enumerate(pts) if p != pts[k - 1]]
+def _distinct(points, closed: bool) -> list:
+    """The points as Fraction triples (by `plane._frac`'s rule), without
+    consecutive repeats, which would make edges of length 0; the first is
+    kept, and in a closed loop a last point equal to it is dropped."""
+    pts = [tuple(_frac(c) for c in p) for p in points]
+    out = pts[:1] + [p for q, p in zip(pts, pts[1:]) if p != q]
+    if closed and len(out) > 1 and out[-1] == out[0]:
+        out.pop()
+    return out
 
 
 def _lk_projected(a, b, shear: Fraction) -> int:
@@ -363,17 +374,6 @@ def _lk_projected(a, b, shear: Fraction) -> int:
 # ---------------------------------------------------------------------------
 # the v2 integrals
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _triple(u, v, w):
-    """u . (v x w), of three coordinate triples."""
-    return (u[0] * (v[1] * w[2] - v[2] * w[1])
-            + u[1] * (v[2] * w[0] - v[0] * w[2])
-            + u[2] * (v[0] * w[1] - v[1] * w[0]))
-
-
 def _gauss(a, b, c, d) -> np.ndarray:
     """I(p, q), the integral of omega_hat(x(t) - y(s))(x'(t), y'(s)) over t
     on a straight piece p and s on a straight piece q, from the corners
@@ -397,26 +397,11 @@ def _gauss(a, b, c, d) -> np.ndarray:
     return np.arctan2(n1 * d2 + n2 * d1, d1 * d2 - n1 * n2) / (-2.0 * math.pi)
 
 
-# Where a tail's far end is put, beyond its vertex along y, in units of the
-# knot's diameter (which v2_mc makes 0.5 to 1): the direction of that end
-# is then the tail's to 1e-30, below a double's resolution.
-FAR = 1e30
-
-
-def _slot_ends(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): slot k of the long polygon v runs from lo[k] to hi[k], the
-    lower tail from FAR below v[0] and the upper one to FAR above v[-1]."""
-    far = np.array([0.0, FAR, 0.0])
-    return (np.concatenate((v[:1] - far, v)),
-            np.concatenate((v, v[-1:] + far)))
-
-
-def _gauss_block(lo: np.ndarray, hi: np.ndarray, rows: int, c0: int,
-                 c1: int) -> np.ndarray:
-    """I(p, q) (`_gauss`) for slots p < rows and c0 <= q < c1 of the slot
-    table (lo, hi) (`_slot_ends`), 0 where q < p + 2: adjacent slots are
-    coplanar and give 0."""
-    corners = [[first[:rows, k, None] - second[None, c0:c1, k]
+def _gauss_block(par: _Param, rows: int, c0: int, c1: int) -> np.ndarray:
+    """I(p, q) (`_gauss`) for slots p < rows and c0 <= q < c1 of par's slot
+    table, 0 where q < p + 2: adjacent slots are coplanar and give 0."""
+    lo, hi = par.lo, par.hi
+    corners = [[first[k, :rows, None] - second[k, None, c0:c1]
                 for k in range(3)]
                for first, second in ((lo, lo), (hi, lo), (hi, hi), (lo, hi))]
     apart = np.arange(rows)[:, None] <= np.arange(c0, c1) - 2
@@ -428,8 +413,8 @@ def _gauss_block(lo: np.ndarray, hi: np.ndarray, rows: int, c0: int,
 PAIR_BLOCK = 1 << 16
 
 
-def _simplex_exact(v: np.ndarray) -> float:
-    """The simplex stratum over four distinct slots of the long polygon v,
+def _simplex_exact(par: _Param) -> float:
+    """The simplex stratum over four distinct slots of the long polygon,
     the sum over a < b < c < d of I(a, c) I(b, d) (`_gauss_block`), in
     O(n^2) time for n slots.
 
@@ -439,8 +424,7 @@ def _simplex_exact(v: np.ndarray) -> float:
     taken from the right: the row sums of the blocks done give R, and a
     cumulative sum down each column gives J.
     """
-    lo, hi = _slot_ends(v)
-    n = len(lo)
+    n = par.lo.shape[1]
     width = max(1, PAIR_BLOCK // n)
     done = np.zeros(n)  # row sums of I over the columns done
     total = 0.0
@@ -448,7 +432,7 @@ def _simplex_exact(v: np.ndarray) -> float:
         c0 = max(c1 - width, 2)
         # R(b, c) for b up to c1 - 2; I(p, q) is 0 for p > c1 - 3
         rows = c1 - 1
-        g = _gauss_block(lo, hi, rows, c0, c1)
+        g = _gauss_block(par, rows, c0, c1)
         r = done[:rows, None] + (np.cumsum(g[:, ::-1], axis=1)[:, ::-1] - g)
         below = np.zeros((rows + 1, c1 - c0))
         np.cumsum(r, axis=0, out=below[1:])
@@ -495,12 +479,12 @@ def _coincident(r: np.ndarray, par: _Param):
     straight edge or tail), and four distinct ones are _simplex_exact's.
     A row is weighted by the four patterns' measure,
     P = 3(n-1)(2n-3) / n^3."""
-    n = par.start.shape[1]
+    n = par.lo.shape[1]
     pos, der = par.at(*par.split(_coincident_points(r, n)))
-    g13, ok1 = _omega_hat(pos[:, 0] - pos[:, 2], der[:, 0], der[:, 2],
-                          par.scale)
-    g42, ok2 = _omega_hat(pos[:, 3] - pos[:, 1], der[:, 1], der[:, 3],
-                          par.scale)
+    g13, ok1 = _omega_hat(pos[..., 0] - pos[..., 2], der[..., 0],
+                          der[..., 2], par.scale)
+    g42, ok2 = _omega_hat(pos[..., 3] - pos[..., 1], der[..., 1],
+                          der[..., 3], par.scale)
     # omega(x1-x3) ^ omega(x4-x2): dt1^dt3 ^ dt2^dt4 = -dt1^dt2^dt3^dt4,
     # and each factor carries one minus from d(x_i - x_j); the sorted cube
     # has volume 1/24
@@ -508,7 +492,7 @@ def _coincident(r: np.ndarray, par: _Param):
     return -weight * (g13 * g42), ok1 & ok2
 
 
-def _tripods(r: np.ndarray, par: _Param, lo: np.ndarray, hi: np.ndarray):
+def _tripods(r: np.ndarray, par: _Param):
     """The three 3-point integrals (strata 2-4) as one, from an (m, 3)
     draw: a pair ta < tb of curve parameters and a slot k, uniform over the
     n - 2 slots other than those of ta and tb.
@@ -526,22 +510,21 @@ def _tripods(r: np.ndarray, par: _Param, lo: np.ndarray, hi: np.ndarray):
     that product.  |J| <= 1, so a row is bounded where the pair's factor
     is; it is rejected only where xa and xb nearly coincide.
     """
-    n = par.start.shape[1]
+    n = par.lo.shape[1]
     pair = np.stack((np.minimum(r[:, 0], r[:, 1]),
                      np.maximum(r[:, 0], r[:, 1])))
     seg, s = par.slots(pair)
-    (xa, xb), (da, db) = par.at(seg, s)
-    # component-major (3, m) points, as the slot tables' columns are taken
-    xa = np.moveaxis(xa, -1, 0)
-    w = np.moveaxis(xb, -1, 0) - xa
+    pos, der = par.at(seg, s)
+    xa = pos[:, 0]
+    w = pos[:, 1] - xa
     # omega_hat(xa - xb)(x'a, x'b) = omega_hat(w)(x'b, x'a)
-    f, ok = _omega_hat(w.T, db, da, par.scale)
+    f, ok = _omega_hat(w, der[:, 1], der[:, 0], par.scale)
     sa, sb = seg
     k = (r[:, 2] * (n - 2)).astype(int)
     k += k >= sa
     k += k >= sb
-    j = _chord_gauss(xa - lo.T.take(k, axis=1), xa - hi.T.take(k, axis=1),
-                     w, (sa < k) & (k < sb))
+    j = _chord_gauss(xa - par.lo.take(k, axis=1),
+                     xa - par.hi.take(k, axis=1), w, (sa < k) & (k < sb))
     return (-0.25 * (n - 2)) * (f * j), ok
 
 
@@ -576,14 +559,6 @@ def _chord_gauss(a: np.ndarray, d: np.ndarray, w: np.ndarray,
     return np.where(rays, line - segment, segment)
 
 
-# The simplex stratum's orientation sign relative to the natural parameter
-# orientation, pinned by calibration: with the tripods' signs, which
-# `_tripods` folds into its coefficient, only this choice converges to the
-# combinatorial v2 on both the trefoil and figure-eight fixtures (the
-# runner-up sign pattern missed by > 0.2 at 2.4e7 samples).
-_SIMPLEX_SIGN = 1.0
-
-
 def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
                checkpoints: list[int]) -> list[McEstimate]:
     _check_samples(samples, *checkpoints)
@@ -596,13 +571,13 @@ def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
     # diameter in [0.5, 1) changes no bit of the sampled simplex stratum; it
     # keeps FAR far, and the products of up to six lengths of the slot
     # ends inside the doubles, whatever the knot's size.
-    v = _offsets(knot.vertices, knot.vertices[0])
+    verts = _distinct(knot.vertices, closed=False)
+    v = _offsets(verts, verts[0])
     _, exponent = math.frexp(float(np.linalg.norm(v.max(axis=0)
                                                    - v.min(axis=0))))
     v = np.ldexp(v, -exponent)
     par = _Param(v, long=True)
-    lo, hi = _slot_ends(v)
-    exact = _simplex_exact(v)
+    exact = _simplex_exact(par)
     # the coincident simplex rows, and the tripods' (streams 2-4)
     simplex, tripods = _Accumulator(), _Accumulator()
     out = []
@@ -613,7 +588,7 @@ def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
         simplex.add(*_blocked(_coincident, _rng(seed, 1, chunk), m, 4, par))
         for stream in (2, 3, 4):
             tripods.add(*_blocked(_tripods, _rng(seed, stream, chunk), m, 3,
-                                  par, lo, hi))
+                                  par))
         while cp and done * 4 >= cp[0]:
             out.append(_combine(simplex, tripods, exact, seed))
             cp.pop(0)
@@ -622,7 +597,10 @@ def _v2_mc_run(knot: PolyKnot, samples: int, seed: int,
 
 def _combine(simplex: _Accumulator, tripods: _Accumulator, exact: float,
              seed: int) -> McEstimate:
-    value = _SIMPLEX_SIGN * (exact + simplex.mean()) + tripods.mean()
+    # the simplex stratum in the natural orientation: with the tripods'
+    # signs, only it converges to the combinatorial v2 on both 3_1 and 4_1
+    # (the runner-up sign pattern missed by more than 0.2 at 2.4e7 samples)
+    value = exact + simplex.mean() + tripods.mean()
     err = math.sqrt(sum(min(a.std_error(), 1e18) ** 2
                         for a in (simplex, tripods)))
     return McEstimate(value, err, simplex.n + tripods.n, seed,

@@ -247,7 +247,7 @@ def _long_eval(vertices, t):
     """Reference: a long knot, its two tails compactified onto the first and
     last slots, each slot filled through its own boolean mask."""
     v = np.asarray([[float(c) for c in p] for p in vertices])
-    L = max(float(np.linalg.norm(v.max(axis=0) - v.min(axis=0))), 1.0)
+    L = float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
     d_lo, d_hi = np.array([0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0])
     n = len(v) + 1
     x = t * n
@@ -280,21 +280,58 @@ def _fixed_t(n_slots):
     return np.clip(np.concatenate((u, near)), 1e-9, 1 - 1e-9)
 
 
+def _sampled_copy(knot):
+    """The copy of a long knot that v2_mc samples: its first vertex
+    subtracted, scaled by a power of two to a diameter in [0.5, 1)."""
+    v = mcint._offsets(knot.vertices, knot.vertices[0])
+    _, exponent = math.frexp(float(np.linalg.norm(v.max(axis=0)
+                                                   - v.min(axis=0))))
+    return np.ldexp(v, -exponent)
+
+
 def test_param_matches_closed_and_long_copies():
+    # eval gives (3, ...) arrays, the references (..., 3) ones
     for loop in (HOPF_A, HOPF_B, [(0, 0, 0), (3, 1, 2), (1, 4, -1)]):
         par = mcint._Param(loop, long=False)
         t = _fixed_t(len(loop))
         for got, want in zip(par.eval(t), _sample_closed(*_poly_arrays(loop),
                                                          t)):
-            assert np.array_equal(got, want)
+            assert np.array_equal(np.moveaxis(got, 0, -1), want)
     for word in ([1, 1, 1], [1, -2, 1, -2], [1]):
         knot = polyknot_from_braid(word)
-        par = mcint._Param(knot.vertices, long=True)
-        # the integrands evaluate (samples, points) arrays of parameters
-        t = _fixed_t(len(knot.vertices) + 1).reshape(-1, 1)
-        t = np.concatenate((t, t[::-1], np.sort(t, axis=0)), axis=1)
-        for got, want in zip(par.eval(t), _long_eval(knot.vertices, t)):
-            assert np.array_equal(got, want)
+        copy = _sampled_copy(knot)
+        assert 0.5 <= np.linalg.norm(copy.max(axis=0) - copy.min(axis=0)) < 1
+        for vertices in (knot.vertices, copy):
+            par = mcint._Param(vertices, long=True)
+            # the integrands evaluate (samples, points) arrays of parameters
+            t = _fixed_t(len(vertices) + 1).reshape(-1, 1)
+            t = np.concatenate((t, t[::-1], np.sort(t, axis=0)), axis=1)
+            for got, want in zip(par.eval(t), _long_eval(vertices, t)):
+                assert np.array_equal(np.moveaxis(got, 0, -1), want)
+
+
+def _doubled(vertices, *at):
+    """The vertices with each vertex at an index in `at` written twice."""
+    out = list(vertices)
+    for k in sorted(at, reverse=True):
+        out.insert(k, out[k])
+    return out
+
+
+def test_repeated_vertex_changes_no_estimate():
+    # a vertex written again right after itself would make a slot of length
+    # 0, whose rows are exactly 0 and were rejected, inflating the mean
+    tref = polyknot_from_braid([1, 1, 1])
+    want = v2_mc(tref, 100_000, seed=1)
+    assert want.rejected == 0
+    last = len(tref.vertices) - 1
+    for at in ((4,), (4, 4), (0,), (last,), (1, 4, last)):
+        knot = PolyKnot(tuple(_doubled(tref.vertices, *at)), "long")
+        assert v2_mc(knot, 100_000, seed=1) == want
+    want = linking_mc(HOPF_A, HOPF_B, 50_000, seed=2)
+    for a, b in ((_doubled(HOPF_A, 2), HOPF_B), (HOPF_A + HOPF_A[:1], HOPF_B),
+                 (HOPF_A, _doubled(HOPF_B, 1)), (HOPF_A, HOPF_B + HOPF_B[:1])):
+        assert linking_mc(a, b, 50_000, seed=2) == want
 
 
 def test_linking_rejects_a_long_knot():

@@ -1,10 +1,12 @@
 """The per-coordinate solid-angle kernel against the vectorized formula.
 
-`mcint._omega_hat` writes the norm, the cross product and the dot product
-out one coordinate at a time.  `_reference` is the formula it replaced:
-np.linalg.norm, np.cross and einsum over the last axis.  The rejection
-masks must be equal.  The values may differ only in the order in which the
-dot product's three terms are added (einsum's order depends on the numpy
+`mcint._omega_hat` takes coordinate triples, (3, ...) arrays as `_Param`
+gives them, and writes the norm, the cross product and the dot product out
+one coordinate at a time.  `_reference` is the formula it replaced:
+np.linalg.norm, np.cross and einsum over the last axis of (..., 3) arrays,
+which `_check` hands to `_omega_hat` component-major.  The rejection masks
+must be equal.  The values may differ only in the order in which the dot
+product's three terms are added (einsum's order depends on the numpy
 version), so they must agree to a few ulps of |v| |a x b| / (4 pi |v|^3).
 
 The tripod stratum draws a pair of curve points and one slot k, and
@@ -16,13 +18,13 @@ the line parameter, its two outer rays against `_gauss` with corners at
 infinity, and |J| <= 1 on drawn rows.
 
 The simplex stratum over four distinct slots is a sum of products of Gauss
-integrals I(p, q) of two straight slots (`mcint._gauss_block`), summed in
-O(n^2) (`mcint._simplex_exact`).  I is checked against Gauss-Legendre
-quadrature of `_omega_hat` through `_Param`, the sum against the literal
-sum over all slot quadruples, and Sigma I over the segment pairs of two
-closed loops against their linking number.  The rest of the stratum is
-sampled from `mcint._coincident_points`, whose patterns are checked against
-their measures.
+integrals I(p, q) of two straight slots of `_Param`'s slot table
+(`mcint._gauss_block`), summed in O(n^2) (`mcint._simplex_exact`).  I is
+checked against Gauss-Legendre quadrature of `_omega_hat` through `_Param`,
+the sum against the literal sum over all slot quadruples, and Sigma I over
+the segment pairs of two closed loops against their linking number.  The
+rest of the stratum is sampled from `mcint._coincident_points`, whose
+patterns are checked against their measures.
 """
 
 import itertools
@@ -49,8 +51,19 @@ def _reference(v, a, b, scale):
     return num / (4.0 * math.pi * safe ** 3), valid
 
 
+def _omega(v, a, b, scale):
+    """mcint._omega_hat of (..., 3) arrays, passed component-major."""
+    return mcint._omega_hat(*(np.moveaxis(x, -1, 0) for x in (v, a, b)),
+                            scale)
+
+
+def _eval(par, t):
+    """par.eval's position and derivative as (..., 3) arrays."""
+    return (np.moveaxis(x, 0, -1) for x in par.eval(t))
+
+
 def _check(v, a, b, scale=1.0):
-    got, ok = mcint._omega_hat(v, a, b, scale)
+    got, ok = _omega(v, a, b, scale)
     want, valid = _reference(v, a, b, scale)
     assert got.shape == ok.shape == v.shape[:-1]
     assert np.array_equal(ok, valid)
@@ -69,8 +82,8 @@ def test_random_rows():
 
 
 def test_component_major_views():
-    # eval returns (..., 3) views of (3, ...) buffers; the integrands slice
-    # points out of them and subtract
+    # eval returns (3, ...) arrays; the integrands slice points out of them
+    # and subtract
     rng = np.random.default_rng(6)
     pos, der = (np.moveaxis(rng.standard_normal((3, 4000, 4)), 0, -1)
                 for _ in range(2))
@@ -78,10 +91,21 @@ def test_component_major_views():
     _check(pos, der, der[:, ::-1])
     par = mcint._Param(polyknot_from_braid([1] * 7).vertices, long=True)
     pos, der = par.eval(np.sort(rng.random((4000, 3)), axis=1))
-    assert pos.shape == (4000, 3, 3) and pos[..., 1].flags.c_contiguous
+    assert pos.shape == der.shape == (3, 4000, 3)
+    assert pos[1].flags.c_contiguous
+    # _check hands _omega_hat these (3, 4000) slices back
+    pos, der = np.moveaxis(pos, 0, -1), np.moveaxis(der, 0, -1)
     _check(pos[:, 0] - pos[:, 1], der[:, 0], der[:, 1], par.scale)
     _check(pos[:, 1] - pos[:, 2] + 0.5 * (pos[:, 0] - pos[:, 1]),
            der[:, 2], pos[:, 0] - pos[:, 1], par.scale)
+    # one slot table: each slot starts where the one before it ends, and
+    # the tails end FAR out along y, at their end vertices' x and z
+    far = np.array([0.0, mcint.FAR, 0.0])
+    assert np.array_equal(par.lo[:, 1:], par.hi[:, :-1])
+    assert np.array_equal(par.lo[:, 0], par.hi[:, 0] - far)
+    assert np.array_equal(par.hi[:, -1], par.lo[:, -1] + far)
+    assert np.array_equal(par.edge, par.hi - par.lo)
+    assert not par.edge[::2, [0, -1]].any()
 
 
 def test_rejection_threshold():
@@ -98,7 +122,7 @@ def test_rejection_threshold():
         a, b = rng.standard_normal((2,) + v.shape)
         _check(v, a, b, scale)
     # along an axis the norm is exact, so only the radii above the edge pass
-    _, ok = mcint._omega_hat(v, a, b, scale)
+    _, ok = _omega(v, a, b, scale)
     assert np.array_equal(ok, np.tile(radii > edge, len(axes)))
 
 
@@ -131,12 +155,10 @@ def _same_blocked_and_whole(integrand, key, shape, *args):
 def test_strata_blocked_match_whole_draw():
     knot = polyknot_from_braid([1, 1, 1])
     par = mcint._Param(knot.vertices, long=True)
-    lo, hi = _slot_ends(knot)
     for m in _ROWS:
         _same_blocked_and_whole(mcint._coincident, (0, 1, 0), (m, 4), par)
         for k in (2, 3, 4):
-            _same_blocked_and_whole(mcint._tripods, (0, k, 0), (m, 3), par,
-                                    lo, hi)
+            _same_blocked_and_whole(mcint._tripods, (0, k, 0), (m, 3), par)
 
 
 def test_linking_blocked_matches_whole_draw():
@@ -156,7 +178,7 @@ def _quadrature_chord(par, xa, xb, k, rays, nodes):
     omega_hat(y - x)(w, x') over x in slot k, through _Param.eval, and
     over y = xa + s w on the segment (s in (0,1)) or, if `rays`, on its two
     outer rays (s = -u/(1-u) and s = 1/(1-u) for u in (0,1))."""
-    n = par.start.shape[1]
+    n = par.lo.shape[1]
     x, weights = np.polynomial.legendre.leggauss(nodes)
     u = (x + 1.0) / 2.0
     if rays:
@@ -164,13 +186,12 @@ def _quadrature_chord(par, xa, xb, k, rays, nodes):
         line_weights = np.tile(weights / (1.0 - u) ** 2, 2)
     else:
         s, line_weights = u, weights
-    pos, der = par.eval((k + u) / n)
+    pos, der = _eval(par, (k + u) / n)
     w = xb - xa
     y = xa + s[:, None] * w
     shape = (len(s), nodes, 3)
-    vals, ok = mcint._omega_hat(y[:, None] - pos[None],
-                                np.broadcast_to(w, shape),
-                                np.broadcast_to(der[None], shape), 1.0)
+    vals, ok = _omega(y[:, None] - pos[None], np.broadcast_to(w, shape),
+                      np.broadcast_to(der[None], shape), 1.0)
     assert ok.all()
     return line_weights @ vals @ weights / (4 * n)
 
@@ -185,19 +206,18 @@ def test_tripod_slots_match_quadrature(word):
     # quadrature has converged on it: 32 and 48 nodes agree to 1e-12.
     knot = polyknot_from_braid(word)
     par = mcint._Param(knot.vertices, long=True)
-    lo, hi = _slot_ends(knot)
-    n = par.start.shape[1]
+    n = par.lo.shape[1]
     t = np.sort(np.random.default_rng(10).random((12, 2)), axis=1)
-    pos, der = par.eval(t)
-    factor, _ = mcint._omega_hat(pos[:, 0] - pos[:, 1], der[:, 0], der[:, 1],
-                                 1.0)
+    pos, der = _eval(par, t)
+    factor, _ = _omega(pos[:, 0] - pos[:, 1], der[:, 0], der[:, 1], 1.0)
     seg, _ = par.slots(t)
     checked = total = 0
     inside = set()
     for (xa, xb), (sa, sb) in zip(pos[factor != 0], seg[factor != 0]):
         k = np.array([q for q in range(n) if q not in (sa, sb)])
         rays = (sa < k) & (k < sb)
-        got = mcint._chord_gauss(xa[:, None] - lo[k].T, xa[:, None] - hi[k].T,
+        got = mcint._chord_gauss(xa[:, None] - par.lo[:, k],
+                                 xa[:, None] - par.hi[:, k],
                                  (xb - xa)[:, None], rays)
         for q, ray, j in zip(k, rays, got):
             total += 1
@@ -239,7 +259,7 @@ def test_tripod_slot_integrals_are_bounded(monkeypatch):
         knot = polyknot_from_braid(word)
         par = mcint._Param(knot.vertices, long=True)
         vals, _ = mcint._blocked(mcint._tripods, mcint._rng(4, 2, 0), 1 << 20,
-                                 3, par, *_slot_ends(knot))
+                                 3, par)
         assert np.all(np.isfinite(vals))
     j = np.concatenate(seen)
     assert j.size == 3 << 20 and np.all(np.abs(j) <= 1.0)
@@ -251,8 +271,7 @@ def test_collinear_and_coincident_tripods_are_rejected():
     # accepted; a pair at one point is rejected with a finite value
     knot = polyknot_from_braid([1, 1, 1])
     par = mcint._Param(knot.vertices, long=True)
-    lo, hi = _slot_ends(knot)
-    n = par.start.shape[1]
+    n = par.lo.shape[1]
     slots = np.arange(n)
     one_slot = np.column_stack(((slots + 0.7) / n, (slots + 0.2) / n,
                                 np.full(n, 0.5)))
@@ -261,31 +280,26 @@ def test_collinear_and_coincident_tripods_are_rejected():
     coincident = np.column_stack((t[:, 0], t[:, 0], t[:, 1]))
     with np.errstate(all="raise"):
         for rows in (one_slot, tails):
-            vals, ok = mcint._tripods(rows, par, lo, hi)
+            vals, ok = mcint._tripods(rows, par)
             assert ok.all() and np.all(vals == 0.0)
-        vals, ok = mcint._tripods(coincident, par, lo, hi)
+        vals, ok = mcint._tripods(coincident, par)
     assert np.all(np.isfinite(vals)) and not ok.any()
 
 
 # -- the simplex stratum: the distinct slots in closed form ---------------------
 
-def _slot_ends(knot):
-    return mcint._slot_ends(np.array([[float(c) for c in p]
-                                      for p in knot.vertices]))
-
-
 def _quadrature_gauss(par, p, q, nodes):
     """Gauss-Legendre quadrature of I(p, q) over the two slots, through
     _Param.eval, its tails' projective stretch included."""
-    n = par.start.shape[1]
+    n = par.lo.shape[1]
     x, weights = np.polynomial.legendre.leggauss(nodes)
     u = (x + 1.0) / 2.0
-    pos_p, der_p = par.eval((p + u) / n)
-    pos_q, der_q = par.eval((q + u) / n)
+    pos_p, der_p = _eval(par, (p + u) / n)
+    pos_q, der_q = _eval(par, (q + u) / n)
     shape = (nodes, nodes, 3)
-    vals, ok = mcint._omega_hat(pos_p[:, None] - pos_q[None],
-                                np.broadcast_to(der_p[:, None], shape),
-                                np.broadcast_to(der_q[None], shape), 1.0)
+    vals, ok = _omega(pos_p[:, None] - pos_q[None],
+                      np.broadcast_to(der_p[:, None], shape),
+                      np.broadcast_to(der_q[None], shape), 1.0)
     assert ok.all()
     return weights @ vals @ weights / (4 * n * n)
 
@@ -294,9 +308,8 @@ def _quadrature_gauss(par, p, q, nodes):
 def test_gauss_integral_matches_quadrature(word):
     knot = polyknot_from_braid(word)
     par = mcint._Param(knot.vertices, long=True)
-    lo, hi = _slot_ends(knot)
-    n = len(lo)
-    got = mcint._gauss_block(lo, hi, n, 0, n)
+    n = par.lo.shape[1]
+    got = mcint._gauss_block(par, n, 0, n)
     assert got[0, n - 1] == 0.0
     checked = 0
     for p in range(n):
@@ -314,18 +327,16 @@ def test_gauss_integral_matches_quadrature(word):
 
 @pytest.mark.parametrize("word", KNOTS, ids=["3_1", "4_1", "T7_2"])
 def test_simplex_sum_matches_all_quadruples(monkeypatch, word):
-    knot = polyknot_from_braid(word)
-    lo, hi = _slot_ends(knot)
-    n = len(lo)
-    gauss = mcint._gauss_block(lo, hi, n, 0, n)
+    par = mcint._Param(polyknot_from_braid(word).vertices, long=True)
+    n = par.lo.shape[1]
+    gauss = mcint._gauss_block(par, n, 0, n)
     want = sum(gauss[a, c] * gauss[b, d]
                for a, b, c, d in itertools.combinations(range(n), 4))
-    v = lo[1:]
-    assert abs(mcint._simplex_exact(v) - want) <= 1e-12
+    assert abs(mcint._simplex_exact(par) - want) <= 1e-12
     # blocks of one column, of a few, and of part of the columns
     for block in (1, 3 * n, 20 * n):
         monkeypatch.setattr(mcint, "PAIR_BLOCK", block)
-        assert abs(mcint._simplex_exact(v) - want) <= 1e-12
+        assert abs(mcint._simplex_exact(par) - want) <= 1e-12
 
 
 def _loop_gauss_sum(loop1, loop2):
